@@ -26,7 +26,7 @@ bench:
 # start/drain cost into elapsed time, so short passes systematically
 # under-read it). benchfmt keys by name and keeps the last
 # occurrence, so the steadier pass wins in $(BENCH_FILE).
-BENCH_WATCHED := IngestLoopback|Decode|CorrectionLookup|SketchFold|SketchMerge|StoreFold|StreamFanout|Compaction|GossipRound|ReplicaMerge
+BENCH_WATCHED := IngestLoopback|Decode|CorrectionLookup|SketchFold|SketchMerge|StoreFold|StatsQuery|StreamFanout|Compaction|GossipRound|ReplicaMerge
 
 # Machine-readable benchmark record for the perf trajectory (ns/op,
 # allocs/op, summaries/sec across all three wires, decode costs, and

@@ -9,10 +9,11 @@
 //     loopback and wire-decode benchmarks) — higher is better;
 //   - "ns/op" on the correction-lookup, sketch fold/merge, and
 //     store-fold benchmarks — lower is better;
-//   - "allocs/op" on the fold/decode/gossip/compaction hot paths —
-//     lower is better, and a zero baseline still gates: the fold path
-//     is allocation-free by contract, so a 0→1 move is a regression
-//     the ratio test must not skip (the divisor is max(base, 1)).
+//   - "allocs/op" on the fold/decode/stats-query/gossip/compaction
+//     hot paths — lower is better, and a zero baseline still gates:
+//     the fold path is allocation-free by contract, so a 0→1 move is
+//     a regression the ratio test must not skip (the divisor is
+//     max(base, 1)).
 //
 // Benchmarks match across runs by package + name with the trailing
 // GOMAXPROCS suffix stripped, so a baseline recorded on an 8-core host
@@ -69,9 +70,11 @@ var nsOpWatch = map[string]bool{
 // batched and serial store-fold paths (allocation-free by contract —
 // a pooled buffer escaping the pool shows up here before it shows up
 // in ns/op), the wire decoders, the sketch fold/merge underneath the
-// store, and the gossip/compaction passes whose garbage scales with
-// cluster size and retention churn. Baselines of zero are expected
-// and still gate; see the package comment.
+// store, the gossip/compaction passes whose garbage scales with
+// cluster size and retention churn, and the merging /stats rollup,
+// whose garbage scales with the cells behind every dashboard poll.
+// Baselines of zero are expected and still gate; see the package
+// comment.
 var allocsWatch = map[string]bool{
 	"BenchmarkStoreFold":         true,
 	"BenchmarkStoreFoldSerial":   true,
@@ -80,6 +83,7 @@ var allocsWatch = map[string]bool{
 	"BenchmarkSketchFold":        true,
 	"BenchmarkSketchMerge":       true,
 	"BenchmarkCompaction":        true,
+	"BenchmarkStatsQueryDevice":  true,
 	"BenchmarkGossipRound":       true,
 	"BenchmarkReplicaMerge":      true,
 }

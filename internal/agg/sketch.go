@@ -176,24 +176,27 @@ func (s *Sketch) Flush() {
 	}
 	fs := flushScratchPool.Get().(*flushScratch)
 	fs.sortObservations(s.buf)
-	// Linearly merge the sorted centroid list with the sorted buffer
-	// (each buffered value a weight-1 centroid) into the scratch space;
-	// existing centroids win ties, matching a two-list centroid merge.
-	sc := fs.merged[:0]
+	fs.merged = mergeObservations(fs.merged[:0], s.Centroids, s.buf)
+	s.buf = s.buf[:0]
+	s.Centroids = compressInto(s.Centroids[:0], fs.merged, s.Count, s.Compression)
+	flushScratchPool.Put(fs)
+}
+
+// mergeObservations linearly merges a mean-sorted centroid list with a
+// sorted observation buffer (each value a weight-1 centroid) into dst;
+// existing centroids win ties, matching a two-list centroid merge.
+func mergeObservations(dst, cs []Centroid, obs []float64) []Centroid {
 	i, j := 0, 0
-	for i < len(s.Centroids) || j < len(s.buf) {
-		if j >= len(s.buf) || (i < len(s.Centroids) && s.Centroids[i].Mean <= s.buf[j]) {
-			sc = append(sc, s.Centroids[i])
+	for i < len(cs) || j < len(obs) {
+		if j >= len(obs) || (i < len(cs) && cs[i].Mean <= obs[j]) {
+			dst = append(dst, cs[i])
 			i++
 		} else {
-			sc = append(sc, Centroid{Mean: s.buf[j], Weight: 1})
+			dst = append(dst, Centroid{Mean: obs[j], Weight: 1})
 			j++
 		}
 	}
-	s.buf = s.buf[:0]
-	s.Centroids = compressInto(s.Centroids[:0], sc, s.Count, s.Compression)
-	fs.merged = sc
-	flushScratchPool.Put(fs)
+	return dst
 }
 
 // mergeSortedCentroids linearly merges two mean-sorted centroid lists
@@ -293,18 +296,22 @@ func (s *Sketch) Merge(o *Sketch) {
 		s.MaxV = o.MaxV
 	}
 	// Both centroid lists are sorted by construction, so the combine is
-	// a linear merge; only buffered observations (never present on
-	// wire-decoded sketches) need a sort, via Flush. o is cloned before
-	// flushing so Merge never mutates its argument.
+	// a linear merge. Buffered observations of o (never present on
+	// wire-decoded sketches) are compressed into scratch first — the
+	// exact pass o.Flush would run, on a sorted copy of o's buffer — so
+	// Merge neither mutates nor clones its argument.
 	s.Flush()
-	flat := o
+	fs := flushScratchPool.Get().(*flushScratch)
+	oc := o.Centroids
 	if len(o.buf) > 0 {
-		flat = o.Clone()
-		flat.Flush()
+		fs.obs = append(fs.obs[:0], o.buf...)
+		fs.sortObservations(fs.obs)
+		fs.merged = mergeObservations(fs.merged[:0], o.Centroids, fs.obs)
+		fs.flat = compressInto(fs.flat[:0], fs.merged, o.Count, clampCompression(o.Compression))
+		oc = fs.flat
 	}
 	s.Count += o.Count
-	fs := flushScratchPool.Get().(*flushScratch)
-	fs.merged = mergeSortedCentroids(fs.merged[:0], s.Centroids, flat.Centroids)
+	fs.merged = mergeSortedCentroids(fs.merged[:0], s.Centroids, oc)
 	s.Centroids = compressInto(s.Centroids[:0], fs.merged, s.Count, s.Compression)
 	flushScratchPool.Put(fs)
 }

@@ -1,6 +1,8 @@
 package agg
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -108,6 +110,69 @@ func TestSketchMergeProperty(t *testing.T) {
 		for _, q := range sketchTestQs {
 			assertQuantileWithinBound(t, "whole", whole, sorted, q)
 			assertQuantileWithinBound(t, "merged", merged, sorted, q)
+		}
+	}
+}
+
+// sketchState is a sketch's full observable state, buffer included,
+// for byte-level comparisons (nil and empty slices compare equal).
+func sketchState(s *Sketch) []byte {
+	var b []byte
+	for _, v := range []float64{s.Compression, s.MinV, s.MaxV} {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	b = binary.AppendVarint(b, s.Count)
+	b = binary.AppendUvarint(b, uint64(len(s.Centroids)))
+	for _, c := range s.Centroids {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.Mean))
+		b = binary.AppendVarint(b, c.Weight)
+	}
+	b = binary.AppendUvarint(b, uint64(len(s.buf)))
+	for _, v := range s.buf {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// TestSketchMergeBufferedArgMatchesClone pins the clone-free Merge:
+// merging an argument that still buffers observations must be
+// byte-identical to merging a flushed clone of it (the pre-scratch
+// implementation), across random compressions and buffer fills, and
+// must leave the argument untouched.
+func TestSketchMergeBufferedArgMatchesClone(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	comps := []float64{0, 5, MinSketchCompression, 50, DefaultSketchCompression, MaxSketchCompression, 5000}
+	fill := func(s *Sketch) {
+		n := rng.Intn(3 * s.bufLimit())
+		for i := 0; i < n; i++ {
+			v := rng.ExpFloat64() * 4e6
+			if rng.Intn(4) == 0 {
+				v = float64(rng.Intn(8)) * 1e6 // ties with centroids and each other
+			}
+			s.Add(v)
+		}
+	}
+	for trial := 0; trial < 500; trial++ {
+		dst := &Sketch{Compression: comps[rng.Intn(len(comps))]}
+		src := &Sketch{Compression: comps[rng.Intn(len(comps))]}
+		fill(dst)
+		fill(src)
+		if trial%5 == 0 {
+			src.Add(1) // at least one buffered observation
+		}
+		before := sketchState(src)
+
+		want := dst.Clone()
+		flat := src.Clone()
+		flat.Flush()
+		want.Merge(flat)
+
+		dst.Merge(src)
+		if got := sketchState(dst); !bytes.Equal(got, sketchState(want)) {
+			t.Fatalf("trial %d: Merge of a buffered argument differs from Merge of its flushed clone", trial)
+		}
+		if !bytes.Equal(sketchState(src), before) {
+			t.Fatalf("trial %d: Merge mutated its argument", trial)
 		}
 	}
 }

@@ -16,6 +16,10 @@ import (
 type flushScratch struct {
 	merged    []Centroid
 	keys, tmp []uint64
+	// obs and flat hold a merge argument's sorted buffer copy and its
+	// compressed centroids, so Sketch.Merge never clones its argument.
+	obs  []float64
+	flat []Centroid
 }
 
 var flushScratchPool = sync.Pool{New: func() any { return new(flushScratch) }}

@@ -5,12 +5,14 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/url"
 	"testing"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/fleet"
 	"repro/internal/puncture"
 )
@@ -246,12 +248,53 @@ func BenchmarkStoreFoldSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeBatch prices wire parsing, usually the hot half of the
-// handler.
+// hotJSONBatch synthesizes a batch shaped like the hot-json benchmark
+// workload's posts: the five-model census with chipset families, a
+// scenario label, event times spread over a minute, 20
+// exponential-tailed RTTs per summary, and device-side layer
+// attribution on three of the five models (the other two post
+// calibrated) — about 390 bytes per record on the JSON wire.
+func hotJSONBatch(size int) []Summary {
+	census := [5][2]string{
+		{"Google Nexus 5", "BCM4339"},
+		{"Google Nexus 4", "WCN3660"},
+		{"HTC One", "WCN3680"},
+		{"Sony Xperia J", "BCM4330"},
+		{"Samsung Grand", "BCM4329"},
+	}
+	rng := rand.New(rand.NewSource(1))
+	out := make([]Summary, size)
+	for i := range out {
+		m := i % len(census)
+		s := Summary{
+			Device: census[m][0], Chipset: census[m][1], Group: census[m][0],
+			Scenario: "hot-json", TimeMS: 1_760_000_000_000 + rng.Int63n(60_000),
+		}
+		if m < 3 {
+			s.LayersOK = true
+			s.UserOverheadNS = 500_000 + rng.Int63n(2_500_000)
+			s.SDIOOverheadNS = 200_000 + rng.Int63n(1_800_000)
+			s.PSMInflationNS = rng.Int63n(5_000_000)
+		} else {
+			s.Calibrated = true
+		}
+		s.RTTs = make([]int64, 20)
+		for j := range s.RTTs {
+			s.RTTs[j] = 15_000_000 + int64(m)*1_000_000 + int64(rng.ExpFloat64()*4e6)
+		}
+		s.Lost = rng.Intn(3)
+		s.Sent = len(s.RTTs) + s.Lost
+		out[i] = s
+	}
+	return out
+}
+
+// BenchmarkDecodeBatch prices JSON-lines parsing — the default wire's
+// share of the handler — on a hot-json-shaped 100-summary batch.
 func BenchmarkDecodeBatch(b *testing.B) {
 	b.ReportAllocs()
 	var buf bytes.Buffer
-	if err := EncodeBatch(&buf, benchBatch(100, 20)); err != nil {
+	if err := EncodeBatch(&buf, hotJSONBatch(100)); err != nil {
 		b.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -267,8 +310,8 @@ func BenchmarkDecodeBatch(b *testing.B) {
 }
 
 // BenchmarkDecodeBinaryBatch prices binary wire parsing — the decode
-// cost a binary-wire device buys the server out of, next to
-// BenchmarkDecodeBatch's JSON figure on the identical batch.
+// cost a binary-wire device buys the server out of — on the loopback
+// benchmarks' benchBatch.
 func BenchmarkDecodeBinaryBatch(b *testing.B) {
 	b.ReportAllocs()
 	raw, err := AppendBinaryBatch(nil, benchBatch(100, 20))
@@ -359,6 +402,83 @@ func BenchmarkCompaction(b *testing.B) {
 		cells, _ := st.Compact(int64(65 * 1000))
 		if cells == 0 {
 			b.Fatal("nothing compacted")
+		}
+	}
+}
+
+// fleetShapedSummaries synthesizes n summaries shaped like the
+// fleet-tcp benchmark workload's: keys drawn uniformly over 2048 cells
+// (256 models × 8 cohorts), and the workload's RTT mix — 10% single
+// RTT, 75% 20 RTTs, 5% 200 RTTs, 10% device-built sketches of 20.
+func fleetShapedSummaries(n int) []Summary {
+	const models, cohorts = 256, 8
+	rng := rand.New(rand.NewSource(2))
+	devices := make([]string, models)
+	for m := range devices {
+		devices[m] = fmt.Sprintf("model-%03d", m)
+	}
+	groups := make([]string, cohorts)
+	for c := range groups {
+		groups[c] = fmt.Sprintf("cohort-%02d", c)
+	}
+	out := make([]Summary, n)
+	for i := range out {
+		ki := rng.Intn(models * cohorts)
+		s := Summary{Device: devices[ki/cohorts], Group: groups[ki%cohorts], Scenario: "fleet-tcp", TimeMS: 1}
+		draw := func() int64 { return 15_000_000 + int64(ki%37)*1_000_000 + int64(rng.ExpFloat64()*4e6) }
+		switch u := rng.Float64(); {
+		case u < 0.90:
+			n := 20
+			if u < 0.10 {
+				n = 1
+			} else if u >= 0.85 {
+				n = 200
+			}
+			s.RTTs = make([]int64, n)
+			for j := range s.RTTs {
+				s.RTTs[j] = draw()
+			}
+			s.Sent = n
+		default:
+			s.Sketch = agg.NewSketch(0)
+			for j := 0; j < 20; j++ {
+				s.Sketch.Add(float64(draw()))
+			}
+			s.Sent = 20
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// BenchmarkStatsQueryDevice prices one /stats?by=device poll on a
+// fleet-shaped store: 2048 cells rolled up to 256 device rows, with
+// 10 k summaries folded between polls so the cells' sketches carry
+// buffered observations the rollup merge has to compress. The folds
+// are untimed; ns/op and allocs/op are the poll alone.
+func BenchmarkStatsQueryDevice(b *testing.B) {
+	b.ReportAllocs()
+	st := NewStore(0, 0)
+	sums := fleetShapedSummaries(10_000)
+	fold := func() {
+		for i := range sums {
+			if !st.Fold(&sums[i], 0, SourceNone) {
+				b.Fatal("fold dropped")
+			}
+		}
+	}
+	fold()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fold()
+		b.StartTimer()
+		rows, err := st.StatsQuery(RollupDevice)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rows) != 256 {
+			b.Fatalf("%d device rows, want 256", len(rows))
 		}
 	}
 }

@@ -2,14 +2,15 @@ package ingest
 
 // Binary batch wire format. JSON lines are the debuggable default, but
 // a million-device fleet posting always-on opportunistic summaries
-// (MopEye-scale) is decode-bound at the server: encoding/json burns an
-// order of magnitude more CPU per summary than the data warrants. This
-// file defines the compact framed alternative a device-side collector
-// ships when bandwidth and server CPU matter, plus its decoder — a
-// hand-rolled parser facing untrusted input, so every declared length
-// is checked against a hard cap and against the bytes actually present
-// BEFORE anything is allocated, and decode buffers are pooled so the
-// hot path allocates only what the decoded summaries themselves retain.
+// (MopEye-scale) pays for text at the server: even the reflection-free
+// JSON scanner parses ~3× the bytes of this framing and spends ~1.7×
+// the CPU per summary. This file defines the compact framed
+// alternative a device-side collector ships when bandwidth and server
+// CPU matter, plus its decoder — a hand-rolled parser facing
+// untrusted input, so every declared length is checked against a hard
+// cap and against the bytes actually present BEFORE anything is
+// allocated, and decode buffers are pooled so the hot path allocates
+// only what the decoded summaries themselves retain.
 //
 // Frame layout (all integers varint unless noted; see README "Wire
 // formats" for the normative description):
@@ -89,59 +90,6 @@ var payloadPool = sync.Pool{
 		b := make([]byte, 0, 4096)
 		return &b
 	},
-}
-
-// binAlloc amortizes the decoder's per-summary allocations across a
-// whole batch. Key strings are interned through a pooled, size-capped
-// table — real batches repeat a handful of device/group/scenario keys,
-// so after the first sighting a key decodes without allocating, while
-// hostile high-cardinality input simply bypasses the full table rather
-// than growing it. RTT slices are carved from shared blocks; the block
-// memory is fresh per batch (the decoded summaries retain it — only
-// the allocation *count* is amortized, not the memory), so pooling the
-// binAlloc never aliases live summaries.
-type binAlloc struct {
-	intern map[string]string
-	arena  []int64 // spare capacity of the current RTT block
-}
-
-// maxInternedKeys bounds the pooled intern table; past it, unseen keys
-// just allocate (the cap only exists so hostile key cardinality cannot
-// grow the table without bound across pooled reuses).
-const maxInternedKeys = 1024
-
-var binAllocPool = sync.Pool{
-	New: func() any { return &binAlloc{intern: make(map[string]string, 64)} },
-}
-
-// str interns a decoded key field.
-func (a *binAlloc) str(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	if s, ok := a.intern[string(b)]; ok { // keyed lookup does not allocate
-		return s
-	}
-	s := string(b)
-	if len(a.intern) < maxInternedKeys {
-		a.intern[s] = s
-	}
-	return s
-}
-
-// int64s carves an exactly-sized slice out of the current block,
-// minting a new block when the remainder is short.
-func (a *binAlloc) int64s(n int) []int64 {
-	if n > len(a.arena) {
-		size := 4096
-		if n > size {
-			size = n
-		}
-		a.arena = make([]int64, size)
-	}
-	out := a.arena[:n:n]
-	a.arena = a.arena[n:]
-	return out
 }
 
 // zigzag maps signed to unsigned so small-magnitude negatives stay
@@ -344,12 +292,12 @@ func readBinaryBatch(br *bufio.Reader, maxSummaries int) ([]Summary, error) {
 	out := make([]Summary, 0, prealloc)
 
 	payload := payloadPool.Get().(*[]byte)
-	al := binAllocPool.Get().(*binAlloc)
+	al := decodeAllocPool.Get().(*decodeAlloc)
 	defer func() {
 		if cap(*payload) <= MaxBinarySummaryBytes {
 			payloadPool.Put(payload)
 		}
-		binAllocPool.Put(al)
+		decodeAllocPool.Put(al)
 	}()
 	for i := uint64(0); i < count; i++ {
 		plen, err := binary.ReadUvarint(br)
@@ -391,7 +339,7 @@ func noEOF(err error) error {
 type binCursor struct {
 	buf []byte
 	off int
-	al  *binAlloc
+	al  *decodeAlloc
 }
 
 func (d *binCursor) remaining() int { return len(d.buf) - d.off }
@@ -464,7 +412,7 @@ func (d *binCursor) count() (int, error) {
 // the only allocations are the strings, the exactly-sized RTT slice
 // (its count capped both structurally and by the bytes present), and
 // the sketch (its own decoder enforces the centroid caps).
-func decodeBinarySummary(buf []byte, s *Summary, al *binAlloc) error {
+func decodeBinarySummary(buf []byte, s *Summary, al *decodeAlloc) error {
 	d := binCursor{buf: buf, al: al}
 	flags, err := d.byte()
 	if err != nil {

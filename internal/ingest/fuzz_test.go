@@ -3,6 +3,11 @@ package ingest
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"reflect"
 	"testing"
 	"time"
 
@@ -32,9 +37,43 @@ func fuzzSeedBatches() [][]Summary {
 	}
 }
 
-// FuzzDecodeBatch hammers the JSON wire decoder with arbitrary bytes:
-// it must never panic, and whatever it accepts must pass Validate and
-// survive a canonical re-encode → re-decode round trip.
+// refDecodeBatch decodes a batch through encoding/json, exactly as
+// DecodeBatch did before it had its own scanner. It is the
+// differential oracle: DecodeBatch must accept exactly the batches it
+// accepts and decode them to the same records.
+func refDecodeBatch(r io.Reader, maxSummaries int) ([]Summary, error) {
+	dec := json.NewDecoder(r)
+	var out []Summary
+	for {
+		var s Summary
+		if err := dec.Decode(&s); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("ingest: batch record %d: %w", len(out)+1, err)
+		}
+		if err := s.Validate(); err != nil {
+			return nil, fmt.Errorf("ingest: batch record %d: %w", len(out)+1, err)
+		}
+		out = append(out, s)
+		if maxSummaries > 0 && len(out) > maxSummaries {
+			return nil, fmt.Errorf("ingest: batch exceeds %d summaries", maxSummaries)
+		}
+	}
+	if len(out) == 0 {
+		return nil, errors.New("ingest: empty batch")
+	}
+	return out, nil
+}
+
+// FuzzDecodeBatch hammers the JSON wire decoder with arbitrary bytes
+// and checks it differentially against encoding/json: the same
+// accept/reject decision and, on accept, deep-equal records. Whatever
+// it accepts must also pass Validate and survive a canonical re-encode
+// → re-decode round trip. The committed corpus carries the grammar
+// corners (escapes, surrogates, invalid UTF-8, folded and duplicate
+// keys, nulls, number forms, back-to-back records) and the hostile
+// inputs (nesting past the depth limit, a 1 MiB skipped string, an
+// over-cap rtts_ns array), so every plain go test run replays them.
 func FuzzDecodeBatch(f *testing.F) {
 	for _, batch := range fuzzSeedBatches() {
 		var buf bytes.Buffer
@@ -47,8 +86,22 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte(`{"device":"x","sent":1}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		batch, err := DecodeBatch(bytes.NewReader(data), 1000)
+		want, werr := refDecodeBatch(bytes.NewReader(data), 1000)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("DecodeBatch err = %v, encoding/json err = %v", err, werr)
+		}
 		if err != nil {
 			return
+		}
+		for _, b := range [][]Summary{batch, want} {
+			for i := range b {
+				if len(b[i].RTTs) == 0 {
+					b[i].RTTs = nil // a nil and an empty RTTs are equal
+				}
+			}
+		}
+		if !reflect.DeepEqual(batch, want) {
+			t.Fatalf("DecodeBatch diverges from encoding/json:\n got  %+v\n want %+v", batch, want)
 		}
 		for i := range batch {
 			if verr := batch[i].Validate(); verr != nil {

@@ -153,33 +153,6 @@ func (s *Summary) Validate() error {
 	return nil
 }
 
-// DecodeBatch parses a JSON-lines batch (whitespace-separated JSON
-// objects; a trailing newline is optional) and validates every record.
-// maxSummaries <= 0 means unlimited.
-func DecodeBatch(r io.Reader, maxSummaries int) ([]Summary, error) {
-	dec := json.NewDecoder(r)
-	var out []Summary
-	for {
-		var s Summary
-		if err := dec.Decode(&s); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("ingest: batch record %d: %w", len(out)+1, err)
-		}
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("ingest: batch record %d: %w", len(out)+1, err)
-		}
-		out = append(out, s)
-		if maxSummaries > 0 && len(out) > maxSummaries {
-			return nil, fmt.Errorf("ingest: batch exceeds %d summaries", maxSummaries)
-		}
-	}
-	if len(out) == 0 {
-		return nil, errors.New("ingest: empty batch")
-	}
-	return out, nil
-}
-
 // EncodeBatch writes summaries as JSON lines — the exact bytes a device
 // puts on the wire.
 func EncodeBatch(w io.Writer, batch []Summary) error {

@@ -37,9 +37,25 @@ func TestTCPConnectProbes(t *testing.T) {
 	if res.BackgroundSent < 2 {
 		t.Fatalf("background packets = %d", res.BackgroundSent)
 	}
-	_, _, conns := s.Stats()
-	if conns != 8 {
+	if conns := settledConns(s, 8); conns != 8 {
 		t.Fatalf("server saw %d connections", conns)
+	}
+}
+
+// settledConns waits up to 2 s for the servers' TCP connection count
+// to reach want and returns it. A connect probe completes when the
+// kernel finishes the handshake, before the accept loop returns the
+// connection and counts it, so the count can trail Measure's return.
+// (The HTTP counters need no wait: the server counts a GET before it
+// writes the response the prober waits for.)
+func settledConns(s *Servers, want int) int {
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		_, _, conns := s.Stats()
+		if conns >= want || time.Now().After(deadline) {
+			return conns
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
