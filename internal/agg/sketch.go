@@ -281,7 +281,27 @@ func compressInto(dst, sorted []Centroid, total int64, compression float64) []Ce
 // lower-compression input cannot be recovered by re-labelling, so
 // keeping the finer value would make QuantileErrorBound silently
 // understate the true error of the merged data.
-func (s *Sketch) Merge(o *Sketch) {
+func (s *Sketch) Merge(o *Sketch) { s.merge(o, false, 0, 0) }
+
+// MergeShifted folds o in as if delta had been added to every one of
+// its values and the result clamped from below at floor — the shape
+// puncturing needs: subtracting a correction from a device-posted
+// sketch while keeping corrected RTTs non-negative, exactly as the
+// per-observation path clamps. Like Merge it neither mutates nor
+// clones o; the shifted centroids live in pooled scratch.
+func (s *Sketch) MergeShifted(o *Sketch, delta, floor float64) { s.merge(o, true, delta, floor) }
+
+// shiftClamp is MergeShifted's per-value map.
+func shiftClamp(v, delta, floor float64) float64 {
+	if v += delta; v < floor {
+		return floor
+	}
+	return v
+}
+
+// merge is Merge, with o's values passed through shiftClamp when shift
+// is set.
+func (s *Sketch) merge(o *Sketch, shift bool, delta, floor float64) {
 	s.normalize()
 	if o == nil || o.Count == 0 {
 		return
@@ -289,30 +309,61 @@ func (s *Sketch) Merge(o *Sketch) {
 	if oc := clampCompression(o.Compression); oc < s.Compression {
 		s.Compression = oc
 	}
-	if s.Count == 0 || o.MinV < s.MinV {
-		s.MinV = o.MinV
+	omin, omax := o.MinV, o.MaxV
+	if shift {
+		omin, omax = shiftClamp(omin, delta, floor), shiftClamp(omax, delta, floor)
 	}
-	if s.Count == 0 || o.MaxV > s.MaxV {
-		s.MaxV = o.MaxV
+	if s.Count == 0 || omin < s.MinV {
+		s.MinV = omin
 	}
-	// Both centroid lists are sorted by construction, so the combine is
-	// a linear merge. Buffered observations of o (never present on
-	// wire-decoded sketches) are compressed into scratch first — the
-	// exact pass o.Flush would run, on a sorted copy of o's buffer — so
-	// Merge neither mutates nor clones its argument.
+	if s.Count == 0 || omax > s.MaxV {
+		s.MaxV = omax
+	}
+	// Both centroid lists are sorted by construction (a shift with a
+	// floor clamp is monotone, so it keeps them sorted), so the combine
+	// is a linear merge.
 	s.Flush()
 	fs := flushScratchPool.Get().(*flushScratch)
-	oc := o.Centroids
-	if len(o.buf) > 0 {
-		fs.obs = append(fs.obs[:0], o.buf...)
-		fs.sortObservations(fs.obs)
-		fs.merged = mergeObservations(fs.merged[:0], o.Centroids, fs.obs)
-		fs.flat = compressInto(fs.flat[:0], fs.merged, o.Count, clampCompression(o.Compression))
-		oc = fs.flat
+	oc := o.flushedInto(fs)
+	if shift {
+		if len(o.buf) == 0 {
+			fs.flat = append(fs.flat[:0], oc...)
+			oc = fs.flat
+		}
+		for i := range oc {
+			oc[i].Mean = shiftClamp(oc[i].Mean, delta, floor)
+		}
 	}
 	s.Count += o.Count
 	fs.merged = mergeSortedCentroids(fs.merged[:0], s.Centroids, oc)
 	s.Centroids = compressInto(s.Centroids[:0], fs.merged, s.Count, s.Compression)
+	flushScratchPool.Put(fs)
+}
+
+// flushedInto returns the centroids s would hold after a Flush, without
+// mutating s: s.Centroids itself when nothing is buffered (read-only),
+// else fs.flat holding the exact pass Flush would run, over a sorted
+// copy of the buffer. Wire-decoded sketches never buffer, so the merge
+// and walk paths copy nothing for them.
+func (s *Sketch) flushedInto(fs *flushScratch) []Centroid {
+	if len(s.buf) == 0 {
+		return s.Centroids
+	}
+	fs.obs = append(fs.obs[:0], s.buf...)
+	fs.sortObservations(fs.obs)
+	fs.merged = mergeObservations(fs.merged[:0], s.Centroids, fs.obs)
+	fs.flat = compressInto(fs.flat[:0], fs.merged, s.Count, clampCompression(s.Compression))
+	return fs.flat
+}
+
+// EachCentroid calls fn for every centroid s would hold after a Flush,
+// in mean order, without mutating or cloning s: buffered observations
+// are compressed in pooled scratch. fn must not modify s.
+func (s *Sketch) EachCentroid(fn func(Centroid)) {
+	fs := flushScratchPool.Get().(*flushScratch)
+	for _, c := range s.flushedInto(fs) {
+		fn(c)
+	}
 	flushScratchPool.Put(fs)
 }
 
@@ -350,29 +401,6 @@ func (s *Sketch) Clone() *Sketch {
 	c.Centroids = append([]Centroid(nil), s.Centroids...)
 	c.buf = append([]float64(nil), s.buf...)
 	return &c
-}
-
-// Shifted returns an independent copy with delta added to every value,
-// clamped from below at floor — the shape puncturing needs: subtracting
-// a correction from a device-posted sketch while keeping corrected RTTs
-// non-negative, exactly as the per-observation path clamps.
-func (s *Sketch) Shifted(delta, floor float64) *Sketch {
-	c := s.Clone()
-	c.Flush()
-	clamp := func(v float64) float64 {
-		if v += delta; v < floor {
-			return floor
-		}
-		return v
-	}
-	for i := range c.Centroids {
-		c.Centroids[i].Mean = clamp(c.Centroids[i].Mean)
-	}
-	if c.Count > 0 {
-		c.MinV = clamp(c.MinV)
-		c.MaxV = clamp(c.MaxV)
-	}
-	return c
 }
 
 // Quantile estimates the q-th quantile (0..1) by interpolating between

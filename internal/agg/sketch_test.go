@@ -308,14 +308,18 @@ func TestSketchJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSketchShifted checks the puncture helper: every value moves by
-// delta, clamped at the floor, count preserved, source untouched.
-func TestSketchShifted(t *testing.T) {
+// TestSketchMergeShifted checks the puncture merge: every merged value
+// moves by delta, clamped at the floor, count preserved, argument
+// untouched — and the result is byte-identical to merging a shifted
+// clone (shiftedClone, the reference kept here), for buffered and
+// flushed arguments alike.
+func TestSketchMergeShifted(t *testing.T) {
 	sk := NewSketch(0)
 	for _, ms := range []float64{5, 10, 50, 100} {
 		sk.Add(ms)
 	}
-	shifted := sk.Shifted(-20, 0)
+	shifted := NewSketch(0)
+	shifted.MergeShifted(sk, -20, 0)
 	if shifted.Count != sk.Count {
 		t.Fatalf("count changed: %d != %d", shifted.Count, sk.Count)
 	}
@@ -325,8 +329,89 @@ func TestSketchShifted(t *testing.T) {
 	if med := shifted.Quantile(0.5); med < 0 || med > 30 {
 		t.Fatalf("shifted median %v", med)
 	}
-	if sk.MinV != 5 || sk.MaxV != 100 {
-		t.Fatal("Shifted mutated its receiver")
+	if sk.MinV != 5 || sk.MaxV != 100 || len(sk.buf) != 4 {
+		t.Fatal("MergeShifted mutated its argument")
+	}
+
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 200; trial++ {
+		dst := NewSketch(float64(20 + rng.Intn(300)))
+		for i, n := 0, rng.Intn(600); i < n; i++ {
+			dst.Add(rng.ExpFloat64() * 40e6)
+		}
+		o := NewSketch(float64(20 + rng.Intn(300)))
+		for i, n := 0, 1+rng.Intn(2000); i < n; i++ {
+			o.Add(rng.ExpFloat64() * 30e6)
+		}
+		if rng.Intn(2) == 0 {
+			o.Flush()
+		}
+		before, _ := json.Marshal(o.Clone())
+		delta := -rng.Float64() * 60e6
+		want := dst.Clone()
+		want.Merge(shiftedClone(o, delta, 0))
+		dst.MergeShifted(o, delta, 0)
+		if len(o.buf) > 0 {
+			after, _ := json.Marshal(o.Clone())
+			if string(before) != string(after) {
+				t.Fatalf("trial %d: MergeShifted mutated its argument", trial)
+			}
+		}
+		got, _ := json.Marshal(dst)
+		exp, _ := json.Marshal(want)
+		if string(got) != string(exp) {
+			t.Fatalf("trial %d: MergeShifted diverges from Merge(shifted clone)\n got %s\nwant %s", trial, got, exp)
+		}
+	}
+}
+
+// shiftedClone is the clone-based reference MergeShifted replaced: an
+// independent flushed copy with delta added to every value, clamped
+// from below at floor.
+func shiftedClone(s *Sketch, delta, floor float64) *Sketch {
+	c := s.Clone()
+	c.Flush()
+	clamp := func(v float64) float64 {
+		if v += delta; v < floor {
+			return floor
+		}
+		return v
+	}
+	for i := range c.Centroids {
+		c.Centroids[i].Mean = clamp(c.Centroids[i].Mean)
+	}
+	if c.Count > 0 {
+		c.MinV = clamp(c.MinV)
+		c.MaxV = clamp(c.MaxV)
+	}
+	return c
+}
+
+// TestSketchEachCentroidMatchesFlush: the walk visits exactly the
+// centroids a Flush of a clone would hold, without flushing the sketch.
+func TestSketchEachCentroidMatchesFlush(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 50; trial++ {
+		sk := NewSketch(float64(20 + rng.Intn(300)))
+		for i, n := 0, rng.Intn(3000); i < n; i++ {
+			sk.Add(rng.NormFloat64() * 1e6)
+		}
+		buffered := len(sk.buf)
+		var got []Centroid
+		sk.EachCentroid(func(c Centroid) { got = append(got, c) })
+		flat := sk.Clone()
+		flat.Flush()
+		if len(got) != len(flat.Centroids) {
+			t.Fatalf("trial %d: walked %d centroids, flush holds %d", trial, len(got), len(flat.Centroids))
+		}
+		for i := range got {
+			if got[i] != flat.Centroids[i] {
+				t.Fatalf("trial %d: centroid %d = %+v, want %+v", trial, i, got[i], flat.Centroids[i])
+			}
+		}
+		if len(sk.buf) != buffered {
+			t.Fatalf("trial %d: EachCentroid flushed the sketch", trial)
+		}
 	}
 }
 

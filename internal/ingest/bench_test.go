@@ -483,6 +483,48 @@ func BenchmarkStatsQueryDevice(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryWithDevice prices the fleet view of the same poll:
+// the 2048 local cells of BenchmarkStatsQueryDevice plus 2048 replica
+// cells (another node's store, flushed as a gossip delta arrives),
+// rolled up to 256 device rows. The local folds between polls are
+// untimed.
+func BenchmarkQueryWithDevice(b *testing.B) {
+	b.ReportAllocs()
+	st := NewStore(0, 0)
+	fold := func(st *Store, sums []Summary) {
+		for i := range sums {
+			if !st.Fold(&sums[i], 0, SourceNone) {
+				b.Fatal("fold dropped")
+			}
+		}
+	}
+	peer := NewStore(0, 0)
+	fold(peer, fleetShapedSummaries(30_000)) // enough draws to hit all 2048 keys
+	extra := peer.Snapshot()
+	for _, c := range extra {
+		c.RawSketch.Flush()
+		c.PuncturedSketch.Flush()
+	}
+	if len(extra) != 2048 {
+		b.Fatalf("%d replica cells, want 2048", len(extra))
+	}
+	sums := fleetShapedSummaries(10_000)
+	fold(st, sums)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fold(st, sums)
+		b.StartTimer()
+		rows, err := st.QueryWith(RollupDevice, extra)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rows) != 256 {
+			b.Fatalf("%d device rows, want 256", len(rows))
+		}
+	}
+}
+
 // BenchmarkStreamCampaign prices the full pipeline end to end: simulate
 // sessions, serialize, post, fold.
 func BenchmarkStreamCampaign(b *testing.B) {

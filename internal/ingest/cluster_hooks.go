@@ -171,46 +171,7 @@ func (st *Store) QueryWith(r Rollup, extra []*Cell) ([]*Cell, error) {
 	if len(extra) == 0 {
 		return st.Query(r)
 	}
-	merged := map[Key]*Cell{}
-	mergeInto := func(c *Cell) error {
-		k := r.reduce(c.Key)
-		dst, ok := merged[k]
-		if !ok {
-			dst = newCell(k)
-			merged[k] = dst
-		}
-		return dst.Merge(c)
-	}
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		for _, c := range sh.cells {
-			if err := mergeInto(c); err != nil {
-				sh.mu.Unlock()
-				return nil, err
-			}
-		}
-		sh.mu.Unlock()
-	}
-	st.rollupMu.Lock()
-	for _, c := range st.rollups {
-		if err := mergeInto(c); err != nil {
-			st.rollupMu.Unlock()
-			return nil, err
-		}
-	}
-	st.rollupMu.Unlock()
-	for _, c := range extra {
-		if err := mergeInto(c); err != nil {
-			return nil, err
-		}
-	}
-	out := make([]*Cell, 0, len(merged))
-	for _, c := range merged {
-		out = append(out, c)
-	}
-	sortCells(out)
-	return out, nil
+	return st.rollup(r, extra)
 }
 
 // StatsQueryWith is StatsQuery over the fleet-wide merged view.

@@ -237,12 +237,45 @@ func (st *Store) evictColdestLocked(sh *storeShard, newWindowMS int64) bool {
 // forces drops even though the store as a whole has room to reclaim.
 // Shard locks are taken one at a time (never nested), so this cannot
 // deadlock against concurrent folds.
+//
+// Concurrent minters at the cap all pick the same globally-oldest
+// victim; the losers find it gone and rescan rather than report
+// failure. Each rescan follows that victim leaving the store, so the
+// loop ends once the strictly-older windows drain. It returns false
+// only when a scan finds no strictly-older cell anywhere.
 func (st *Store) evictColdestGlobal(newWindowMS int64) bool {
 	if !st.CompactionEnabled() {
 		return false
 	}
-	var vk Key
-	vs := -1
+	for {
+		vk, vs := st.coldestOlder(newWindowMS)
+		if vs < 0 {
+			return false
+		}
+		sh := &st.shards[vs]
+		sh.mu.Lock()
+		c, ok := sh.cells[vk]
+		if ok {
+			delete(sh.cells, vk)
+			st.cells.Add(-1)
+			st.gen.Add(1) // invalidate cached handles (under this shard's lock)
+		}
+		sh.mu.Unlock()
+		if !ok {
+			continue // raced with compaction or another eviction: rescan
+		}
+		st.evicted.Add(1)
+		st.compactedSessions.Add(c.Sessions)
+		st.absorbIntoRollup(c)
+		return true
+	}
+}
+
+// coldestOlder scans every shard, one lock at a time, for the coldest
+// cell in a window strictly older than newWindowMS, returning its key
+// and shard index (-1 when there is none).
+func (st *Store) coldestOlder(newWindowMS int64) (vk Key, vs int) {
+	vs = -1
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
@@ -257,25 +290,7 @@ func (st *Store) evictColdestGlobal(newWindowMS int64) bool {
 		}
 		sh.mu.Unlock()
 	}
-	if vs < 0 {
-		return false
-	}
-	sh := &st.shards[vs]
-	sh.mu.Lock()
-	c, ok := sh.cells[vk]
-	if ok {
-		delete(sh.cells, vk)
-		st.cells.Add(-1)
-		st.gen.Add(1) // invalidate cached handles (under this shard's lock)
-	}
-	sh.mu.Unlock()
-	if !ok {
-		return false // raced with compaction or another eviction
-	}
-	st.evicted.Add(1)
-	st.compactedSessions.Add(c.Sessions)
-	st.absorbIntoRollup(c)
-	return true
+	return vk, vs
 }
 
 // absorbIntoRollup merges one demoted fine cell into its rollup cell,

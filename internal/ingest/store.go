@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -214,35 +215,35 @@ func (c *Cell) foldTail(s *Summary, corr time.Duration, src CorrectionSource) {
 // per-observation path applies); moments and the fixed-range histogram
 // fold each centroid as weight copies of its mean, so counts stay
 // consistent across all three aggregates, with min/max taken from the
-// sketch's exact extremes.
+// sketch's exact extremes. Neither the merges nor the one centroid walk
+// that feeds both tracks copy the posted sketch.
 func (c *Cell) foldSketch(sk *agg.Sketch, corr time.Duration) {
 	c.RawSketch.Merge(sk)
-	// One clone+flush serves both tracks: Shifted on the already-flushed
-	// copy skips a second buffer sort under the stripe lock.
-	flat := sk.Clone()
-	flat.Flush()
-	for _, ct := range flat.Centroids {
+	c.PuncturedSketch.MergeShifted(sk, -float64(corr), 0)
+	punctured := func(v float64) float64 {
+		if v -= float64(corr); v < 0 {
+			return 0
+		}
+		return v
+	}
+	sk.EachCentroid(func(ct agg.Centroid) {
 		c.Raw.AddN(ct.Mean, ct.Weight)
 		c.RawHist.AddN(time.Duration(ct.Mean), ct.Weight)
-	}
+		p := punctured(ct.Mean)
+		c.Punctured.AddN(p, ct.Weight)
+		c.PuncturedHist.AddN(time.Duration(p), ct.Weight)
+	})
 	if sk.MinV < c.Raw.MinV {
 		c.Raw.MinV = sk.MinV
 	}
 	if sk.MaxV > c.Raw.MaxV {
 		c.Raw.MaxV = sk.MaxV
 	}
-
-	shifted := flat.Shifted(-float64(corr), 0)
-	c.PuncturedSketch.Merge(shifted)
-	for _, ct := range shifted.Centroids {
-		c.Punctured.AddN(ct.Mean, ct.Weight)
-		c.PuncturedHist.AddN(time.Duration(ct.Mean), ct.Weight)
+	if p := punctured(sk.MinV); p < c.Punctured.MinV {
+		c.Punctured.MinV = p
 	}
-	if shifted.MinV < c.Punctured.MinV {
-		c.Punctured.MinV = shifted.MinV
-	}
-	if shifted.MaxV > c.Punctured.MaxV {
-		c.Punctured.MaxV = shifted.MaxV
+	if p := punctured(sk.MaxV); p > c.Punctured.MaxV {
+		c.Punctured.MaxV = p
 	}
 }
 
@@ -490,16 +491,19 @@ func (st *Store) KeyFor(s *Summary) Key {
 func (st *Store) Fold(s *Summary, corr time.Duration, src CorrectionSource) bool {
 	k := st.KeyFor(s)
 	sh := st.shardFor(k)
-	for attempt := 0; ; attempt++ {
+	for {
 		sh.mu.Lock()
 		c, ok := sh.cells[k]
 		if !ok {
 			if st.cells.Load() >= st.maxCells && !st.evictColdestLocked(sh, k.WindowMS) {
 				sh.mu.Unlock()
 				// The cold cells may live in other shards; evict
-				// globally (no shard lock held) and retry the mint
-				// once — a concurrent fold may reclaim the slot.
-				if attempt == 0 && st.evictColdestGlobal(k.WindowMS) {
+				// globally (no shard lock held) and retry the mint. A
+				// concurrent mint can take the freed slot, so keep
+				// retrying while evictions succeed: each one removes a
+				// strictly-older cell, and the loop ends once a scan
+				// finds none left.
+				if st.evictColdestGlobal(k.WindowMS) {
 					continue
 				}
 				st.dropped.Add(1)
@@ -560,12 +564,12 @@ func (cc *cellCache) put(k Key, c *Cell) {
 // results for sums[i], resolved by the caller before the lock is
 // taken. cc (optional) is the worker's handle cache; fs is the
 // worker's fold scratch. Cap handling matches Fold exactly — evict
-// shard-locally, then globally once, else drop — but drops the whole
-// run (it would mint the same cell). Returns how many summaries were
-// folded: len(sums) or 0.
+// shard-locally, then globally while that succeeds, else drop — but
+// drops the whole run (it would mint the same cell). Returns how many
+// summaries were folded: len(sums) or 0.
 func (st *Store) FoldRun(k Key, h uint64, sums []Summary, corrs []time.Duration, srcs []CorrectionSource, cc *cellCache, fs *foldScratch) int {
 	sh := &st.shards[h%uint64(len(st.shards))]
-	for attempt := 0; ; attempt++ {
+	for {
 		sh.mu.Lock()
 		var c *Cell
 		if cc != nil {
@@ -578,7 +582,7 @@ func (st *Store) FoldRun(k Key, h uint64, sums []Summary, corrs []time.Duration,
 			if !ok {
 				if st.cells.Load() >= st.maxCells && !st.evictColdestLocked(sh, k.WindowMS) {
 					sh.mu.Unlock()
-					if attempt == 0 && st.evictColdestGlobal(k.WindowMS) {
+					if st.evictColdestGlobal(k.WindowMS) {
 						continue
 					}
 					st.dropped.Add(int64(len(sums)))
@@ -730,18 +734,74 @@ func (r Rollup) reduce(k Key) Key {
 // Query merges cells down to the rollup's dimensions — retention
 // rollup cells included, so aged queries transparently read compacted
 // history alongside the live fine-grained windows. RollupCell
-// deep-copies (the caller gets every cell); every other rollup merges
-// each live cell straight into its accumulator under the stripe lock —
-// Merge only reads its argument, so no per-cell clone of the two 1000-
-// bucket histograms is needed, keeping a /stats poll cheap even with
-// the store near its cell cap.
+// deep-copies (the caller gets every cell); every other rollup goes
+// through the parallel rollup merge.
 func (st *Store) Query(r Rollup) ([]*Cell, error) {
 	if r == RollupCell || r == "" {
 		return st.Snapshot(), nil
 	}
+	return st.rollup(r, nil)
+}
+
+// rollup merges every fine cell, every rollup-tier cell, and the extra
+// (replica) cells down to r's dimensions — the one merge behind Query
+// and QueryWith. Each live cell merges straight into its output row
+// under the stripe lock: Merge only reads its argument, so no per-cell
+// clone of the two 1000-bucket histograms is needed, keeping a /stats
+// poll cheap even with the store near its cell cap.
+//
+// The merge fans out over min(GOMAXPROCS, stripes) workers partitioned
+// by output row: row k belongs to worker keyHash(k) % workers, and each
+// worker walks every stripe (from its own offset, so workers don't
+// queue on one lock), the rollup tier, and extra, merging only the
+// cells whose row it owns into its own map. Every row has exactly one
+// owner, so the worker maps are disjoint and are concatenated with no
+// combine step; allocations match a serial merge.
+func (st *Store) rollup(r Rollup, extra []*Cell) ([]*Cell, error) {
+	workers := runtime.GOMAXPROCS(0)
+	if workers > len(st.shards) {
+		workers = len(st.shards)
+	}
+	parts := make([]map[Key]*Cell, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			parts[w], errs[w] = st.rollupPart(r, extra, w, workers)
+		}(w)
+	}
+	// Worker 0 runs on the calling goroutine; with one worker no
+	// goroutine is started at all.
+	parts[0], errs[0] = st.rollupPart(r, extra, 0, workers)
+	wg.Wait()
+	n := 0
+	for w, p := range parts {
+		if errs[w] != nil {
+			return nil, errs[w]
+		}
+		n += len(p)
+	}
+	out := make([]*Cell, 0, n)
+	for _, p := range parts {
+		for _, c := range p {
+			out = append(out, c)
+		}
+	}
+	sortCells(out)
+	return out, nil
+}
+
+// rollupPart is worker w's share of rollup: the rows k with
+// keyHash(k) % workers == w. One stripe lock is held at a time.
+func (st *Store) rollupPart(r Rollup, extra []*Cell, w, workers int) (map[Key]*Cell, error) {
 	merged := map[Key]*Cell{}
-	mergeInto := func(c *Cell) error {
+	mergeOwned := func(c *Cell) error {
 		k := r.reduce(c.Key)
+		if keyHash(k)%uint64(workers) != uint64(w) {
+			return nil
+		}
 		dst, ok := merged[k]
 		if !ok {
 			dst = newCell(k)
@@ -749,11 +809,13 @@ func (st *Store) Query(r Rollup) ([]*Cell, error) {
 		}
 		return dst.Merge(c)
 	}
-	for i := range st.shards {
-		sh := &st.shards[i]
+	n := len(st.shards)
+	start := w * n / workers
+	for i := 0; i < n; i++ {
+		sh := &st.shards[(start+i)%n]
 		sh.mu.Lock()
 		for _, c := range sh.cells {
-			if err := mergeInto(c); err != nil {
+			if err := mergeOwned(c); err != nil {
 				sh.mu.Unlock()
 				return nil, err
 			}
@@ -762,16 +824,16 @@ func (st *Store) Query(r Rollup) ([]*Cell, error) {
 	}
 	st.rollupMu.Lock()
 	for _, c := range st.rollups {
-		if err := mergeInto(c); err != nil {
+		if err := mergeOwned(c); err != nil {
 			st.rollupMu.Unlock()
 			return nil, err
 		}
 	}
 	st.rollupMu.Unlock()
-	out := make([]*Cell, 0, len(merged))
-	for _, c := range merged {
-		out = append(out, c)
+	for _, c := range extra {
+		if err := mergeOwned(c); err != nil {
+			return nil, err
+		}
 	}
-	sortCells(out)
-	return out, nil
+	return merged, nil
 }
