@@ -19,7 +19,6 @@
 package agg
 
 import (
-	"fmt"
 	"math"
 	"time"
 )
@@ -135,181 +134,3 @@ func (m Moments) Stddev() float64 { return math.Sqrt(m.Variance()) }
 
 // MeanDuration interprets the accumulator as nanosecond observations.
 func (m Moments) MeanDuration() time.Duration { return time.Duration(m.Mean) }
-
-// Hist is a mergeable fixed-range histogram over durations. Counts of
-// two histograms with identical geometry add exactly, so — unlike exact
-// quantiles — histogram-based quantile estimates are order- and
-// partition-independent.
-type Hist struct {
-	Lo     time.Duration `json:"lo_ns"`
-	Hi     time.Duration `json:"hi_ns"`
-	Counts []int64       `json:"counts"`
-	Under  int64         `json:"under"`
-	Over   int64         `json:"over"`
-}
-
-// Campaign-level user-RTT histogram geometry: 0.5 ms resolution up to
-// 500 ms, which covers every scenario in the paper (the worst cellular
-// promotions excepted — those land in Over).
-const (
-	DurationHistLo   = 0
-	DurationHistHi   = 500 * time.Millisecond
-	DurationHistBins = 1000
-)
-
-// NewHist builds a histogram with the given geometry.
-func NewHist(lo, hi time.Duration, bins int) *Hist {
-	if bins <= 0 {
-		bins = 1
-	}
-	return &Hist{Lo: lo, Hi: hi, Counts: make([]int64, bins)}
-}
-
-// NewDurationHist builds a histogram with the repo-standard user-RTT
-// geometry, shared by fleet campaign reports and ingest windows so
-// their quantile estimates are directly comparable.
-func NewDurationHist() *Hist { return NewHist(DurationHistLo, DurationHistHi, DurationHistBins) }
-
-// BucketWidth returns the width of one bin.
-func (h *Hist) BucketWidth() time.Duration {
-	if len(h.Counts) == 0 {
-		return 0
-	}
-	return (h.Hi - h.Lo) / time.Duration(len(h.Counts))
-}
-
-// Add folds one duration in.
-func (h *Hist) Add(d time.Duration) { h.AddN(d, 1) }
-
-// AddN folds n copies of d in.
-func (h *Hist) AddN(d time.Duration, n int64) {
-	if n <= 0 {
-		return
-	}
-	switch {
-	case d < h.Lo:
-		h.Under += n
-	case d >= h.Hi:
-		h.Over += n
-	default:
-		idx := int(int64(d-h.Lo) * int64(len(h.Counts)) / int64(h.Hi-h.Lo))
-		if idx >= len(h.Counts) {
-			idx = len(h.Counts) - 1
-		}
-		h.Counts[idx] += n
-	}
-}
-
-// AddMulti folds a run of durations in one call — the ingest fold
-// path's batch entry point. Bin counts are integers, so the result is
-// identical to repeated Add in any order; the win is hoisting the
-// geometry loads and bounds computation out of the per-observation
-// loop.
-func (h *Hist) AddMulti(ds []time.Duration) {
-	lo, hi := h.Lo, h.Hi
-	counts := h.Counts
-	nb := int64(len(counts))
-	span := int64(hi - lo)
-	under, over := h.Under, h.Over
-	for _, d := range ds {
-		switch {
-		case d < lo:
-			under++
-		case d >= hi:
-			over++
-		default:
-			idx := int(int64(d-lo) * nb / span)
-			if idx >= len(counts) {
-				idx = len(counts) - 1
-			}
-			counts[idx]++
-		}
-	}
-	h.Under, h.Over = under, over
-}
-
-// CheckGeometry reports whether o can merge into h, without mutating
-// either. Callers that merge several aggregates as one transaction
-// (fleet groups, ingest cells) check every histogram first so a
-// geometry mismatch cannot leave the receiver half-merged.
-func (h *Hist) CheckGeometry(o *Hist) error {
-	if o == nil {
-		return nil
-	}
-	if h.Lo != o.Lo || h.Hi != o.Hi || len(h.Counts) != len(o.Counts) {
-		return fmt.Errorf("agg: merging histograms with different geometry: [%v,%v)×%d vs [%v,%v)×%d",
-			h.Lo, h.Hi, len(h.Counts), o.Lo, o.Hi, len(o.Counts))
-	}
-	return nil
-}
-
-// Merge adds another histogram's counts; geometries must match.
-func (h *Hist) Merge(o *Hist) error {
-	if o == nil {
-		return nil
-	}
-	if err := h.CheckGeometry(o); err != nil {
-		return err
-	}
-	h.Under += o.Under
-	h.Over += o.Over
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
-	return nil
-}
-
-// Clone returns a deep copy.
-func (h *Hist) Clone() *Hist {
-	if h == nil {
-		return nil
-	}
-	c := *h
-	c.Counts = make([]int64, len(h.Counts))
-	copy(c.Counts, h.Counts)
-	return &c
-}
-
-// N returns the total count including out-of-range observations.
-func (h *Hist) N() int64 {
-	n := h.Under + h.Over
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// Quantile estimates the q-th quantile (0..1) by interpolating within
-// the bin where the cumulative count crosses q·N, assuming the bin's
-// mass is spread uniformly across its width — snapping to the bin's
-// upper edge, as this used to do, adds a systematic upward bias of up
-// to one bin width (0.5 ms at the standard geometry). Under-range mass
-// resolves to Lo and over-range mass to Hi; a cell with Over > 0 has
-// its upper quantiles saturated at Hi, which callers should surface
-// (the sketch-backed quantile path exists for exactly that case).
-func (h *Hist) Quantile(q float64) time.Duration {
-	n := h.N()
-	if n == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(q * float64(n)))
-	if target < 1 {
-		target = 1
-	}
-	cum := h.Under
-	if cum >= target {
-		return h.Lo
-	}
-	width := float64(h.Hi-h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		if c == 0 {
-			continue
-		}
-		if cum+c >= target {
-			frac := float64(target-cum) / float64(c)
-			return h.Lo + time.Duration((float64(i)+frac)*width)
-		}
-		cum += c
-	}
-	return h.Hi
-}

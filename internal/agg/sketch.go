@@ -407,6 +407,29 @@ func (s *Sketch) Clone() *Sketch {
 // centroid means, with the exact min and max anchoring the extremes.
 // Compresses buffered observations first.
 func (s *Sketch) Quantile(q float64) float64 {
+	if s.Count == 0 || q <= 0 || q >= 1 {
+		return s.quantileOf(nil, q)
+	}
+	s.Flush()
+	return s.quantileOf(s.Centroids, q)
+}
+
+// Quantiles sets out[i] to Quantile(qs[i]) for every i without
+// mutating s: buffered observations are compressed in pooled scratch
+// by the exact pass Flush would run, so the values are Quantile's, but
+// the sketch's later centroids do not depend on when it was read. This
+// is the read live cells serve from.
+func (s *Sketch) Quantiles(qs, out []float64) {
+	fs := flushScratchPool.Get().(*flushScratch)
+	cs := s.flushedInto(fs)
+	for i, q := range qs {
+		out[i] = s.quantileOf(cs, q)
+	}
+	flushScratchPool.Put(fs)
+}
+
+// quantileOf is Quantile over cs, the centroids s holds once flushed.
+func (s *Sketch) quantileOf(cs []Centroid, q float64) float64 {
 	if s.Count == 0 {
 		return 0
 	}
@@ -416,8 +439,6 @@ func (s *Sketch) Quantile(q float64) float64 {
 	if q >= 1 {
 		return s.MaxV
 	}
-	s.Flush()
-	cs := s.Centroids
 	if len(cs) == 1 {
 		return cs[0].Mean
 	}

@@ -197,25 +197,18 @@ func appendMoments(dst []byte, m agg.Moments) []byte {
 func appendHist(dst []byte, h *agg.Hist) []byte {
 	dst = binary.AppendUvarint(dst, zigzag(int64(h.Lo)))
 	dst = binary.AppendUvarint(dst, zigzag(int64(h.Hi)))
-	dst = binary.AppendUvarint(dst, uint64(len(h.Counts)))
+	dst = binary.AppendUvarint(dst, uint64(h.Bins()))
 	dst = binary.AppendUvarint(dst, uint64(h.Under))
 	dst = binary.AppendUvarint(dst, uint64(h.Over))
 	nnz := 0
-	for _, c := range h.Counts {
-		if c != 0 {
-			nnz++
-		}
-	}
+	h.EachBin(func(int, int64) { nnz++ })
 	dst = binary.AppendUvarint(dst, uint64(nnz))
 	prev := 0
-	for i, c := range h.Counts {
-		if c == 0 {
-			continue
-		}
+	h.EachBin(func(i int, c int64) {
 		dst = binary.AppendUvarint(dst, uint64(i-prev))
 		dst = binary.AppendUvarint(dst, uint64(c))
 		prev = i
-	}
+	})
 	return dst
 }
 
@@ -409,7 +402,7 @@ func (d *gossipCursor) hist() (*agg.Hist, error) {
 		return nil, err
 	}
 	h := agg.NewDurationHist()
-	if time.Duration(lo) != h.Lo || time.Duration(hi) != h.Hi || nbins != uint64(len(h.Counts)) {
+	if time.Duration(lo) != h.Lo || time.Duration(hi) != h.Hi || nbins != uint64(h.Bins()) {
 		return nil, fmt.Errorf("cluster: histogram geometry [%d,%d)/%d does not match the duration hist", lo, hi, nbins)
 	}
 	under, err := d.uvarint()
@@ -424,34 +417,57 @@ func (d *gossipCursor) hist() (*agg.Hist, error) {
 		return nil, fmt.Errorf("%w: histogram out-of-range mass", ErrFrameTooBig)
 	}
 	h.Under, h.Over = int64(under), int64(over)
-	nnz, err := d.count(len(h.Counts))
+	nnz, err := d.count(h.Bins())
 	if err != nil {
 		return nil, err
 	}
-	bin := -1
+	if nnz == 0 {
+		return h, nil
+	}
+	// The first pass validates the run and finds its extent, so the
+	// window is allocated once; the second re-reads it into the window.
+	start := d.off
+	first, last := -1, -1
+	if err := d.histBins(nnz, h.Bins(), func(bin int, _ int64) {
+		if first < 0 {
+			first = bin
+		}
+		last = bin
+	}); err != nil {
+		return nil, err
+	}
+	h.Cover(first, last)
+	d.off = start
+	if err := d.histBins(nnz, h.Bins(), h.AddBin); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// histBins reads a histogram's nnz (bin-gap, count) pairs, checking
+// that bins ascend strictly inside [0, bins) with non-zero counts, and
+// hands each bin to fn.
+func (d *gossipCursor) histBins(nnz, bins int, fn func(bin int, count int64)) error {
+	bin := 0
 	for i := 0; i < nnz; i++ {
 		gap, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		cnt, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if i == 0 {
-			bin = int(gap)
-		} else {
-			if gap == 0 || gap > uint64(len(h.Counts)) {
-				return nil, fmt.Errorf("cluster: histogram bin gap %d out of order", gap)
-			}
-			bin += int(gap)
+		if gap > uint64(bins) || (i > 0 && gap == 0) {
+			return fmt.Errorf("cluster: histogram bin gap %d out of order", gap)
 		}
-		if bin < 0 || bin >= len(h.Counts) || cnt == 0 || cnt > math.MaxInt64 {
-			return nil, fmt.Errorf("cluster: histogram bin %d/count %d out of range", bin, cnt)
+		bin += int(gap)
+		if bin >= bins || cnt == 0 || cnt > math.MaxInt64 {
+			return fmt.Errorf("cluster: histogram bin %d/count %d out of range", bin, cnt)
 		}
-		h.Counts[bin] = int64(cnt)
+		fn(bin, int64(cnt))
 	}
-	return h, nil
+	return nil
 }
 
 func (d *gossipCursor) sketch() (*agg.Sketch, error) {

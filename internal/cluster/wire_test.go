@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -131,6 +133,52 @@ func TestGossipDeltaRoundTrip(t *testing.T) {
 	}
 	if cellsJSON(t, got2.Cells) != cellsJSON(t, d.Cells) {
 		t.Fatal("second round trip diverged")
+	}
+}
+
+// TestGossipHistRoundTrip pins the sparse histogram codec against the
+// windowed layout: for random histograms — empty, out-of-range only, one
+// page, many pages — a decoded histogram is reflect.DeepEqual to the one
+// encoded (same window, same counts, same N and quantiles), re-encodes
+// to the same bytes, and costs at most two allocations: the Hist and its
+// window, allocated once after the run is validated.
+func TestGossipHistRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 300; trial++ {
+		h := agg.NewDurationHist()
+		center := time.Duration(rng.Int63n(int64(agg.DurationHistHi)))
+		spread := time.Duration(1 + rng.Int63n(int64(agg.DurationHistHi)))
+		for n := rng.Intn(400); n > 0; n-- {
+			h.Add(center + time.Duration(rng.Int63n(int64(spread))) - spread/4)
+		}
+		enc := appendHist(nil, h)
+		d := &gossipCursor{buf: enc}
+		got, err := d.hist()
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if d.remaining() != 0 {
+			t.Fatalf("trial %d: %d trailing bytes", trial, d.remaining())
+		}
+		if !reflect.DeepEqual(got, h) {
+			t.Fatalf("trial %d: decoded histogram differs from the encoded one", trial)
+		}
+		for _, q := range []float64{0.01, 0.5, 0.99} {
+			if got.N() != h.N() || got.Quantile(q) != h.Quantile(q) {
+				t.Fatalf("trial %d: N/q%.2f differ after round trip", trial, q)
+			}
+		}
+		if !bytes.Equal(appendHist(nil, got), enc) {
+			t.Fatalf("trial %d: re-encode differs", trial)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := (&gossipCursor{buf: enc}).hist(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Fatalf("trial %d: decoding one histogram allocates %.0f times, want ≤ 2", trial, allocs)
+		}
 	}
 }
 

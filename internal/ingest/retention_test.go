@@ -120,10 +120,13 @@ func TestCompactionLossless(t *testing.T) {
 			t.Errorf("%s: raw moments n=%d mean=%g vs n=%d mean=%g", g.Key.Group,
 				g.Raw.N, g.Raw.Mean, w.Raw.N, w.Raw.Mean)
 		}
-		for b := range g.RawHist.Counts {
-			if g.RawHist.Counts[b] != w.RawHist.Counts[b] {
+		if g.RawHist.Bins() != w.RawHist.Bins() {
+			t.Fatalf("%s: histogram bins %d vs %d", g.Key.Group, g.RawHist.Bins(), w.RawHist.Bins())
+		}
+		for b := 0; b < g.RawHist.Bins(); b++ {
+			if g.RawHist.Count(b) != w.RawHist.Count(b) {
 				t.Fatalf("%s: histogram bucket %d diverged: %d vs %d", g.Key.Group,
-					b, g.RawHist.Counts[b], w.RawHist.Counts[b])
+					b, g.RawHist.Count(b), w.RawHist.Count(b))
 			}
 		}
 		// Sketch guarantee: the quantile's true rank in the raw sample

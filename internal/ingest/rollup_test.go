@@ -90,9 +90,12 @@ func cellsAgree(got, want *Cell) []string {
 		if h.got.Under != h.want.Under || h.got.Over != h.want.Over {
 			add("%s hist under/over (%d,%d) != (%d,%d)", h.name, h.got.Under, h.got.Over, h.want.Under, h.want.Over)
 		}
-		for b := range h.want.Counts {
-			if h.got.Counts[b] != h.want.Counts[b] {
-				add("%s hist bucket %d: %d != %d", h.name, b, h.got.Counts[b], h.want.Counts[b])
+		if h.got.Bins() != h.want.Bins() {
+			add("%s hist bins %d != %d", h.name, h.got.Bins(), h.want.Bins())
+		}
+		for b := 0; b < h.want.Bins(); b++ {
+			if h.got.Count(b) != h.want.Count(b) {
+				add("%s hist bucket %d: %d != %d", h.name, b, h.got.Count(b), h.want.Count(b))
 				break
 			}
 		}

@@ -663,6 +663,9 @@ type TrackStats struct {
 	P99RankErr float64 `json:"p99_rank_err,omitempty"`
 }
 
+// servedQuantiles are the percentiles a TrackStats carries.
+var servedQuantiles = [...]float64{0.50, 0.90, 0.99}
+
 func trackStats(m agg.Moments, h *agg.Hist, sk *agg.Sketch) TrackStats {
 	ms := func(f float64) float64 { return f / float64(time.Millisecond) }
 	t := TrackStats{Samples: m.N, MeanMS: ms(m.Mean), StddevMS: ms(m.Stddev())}
@@ -678,9 +681,12 @@ func trackStats(m agg.Moments, h *agg.Hist, sk *agg.Sketch) TrackStats {
 	// the histogram rather than serving a subset's quantiles as the
 	// distribution's.
 	case sk != nil && sk.Count > 0 && sk.Count == m.N:
-		t.P50MS = ms(sk.Quantile(0.50))
-		t.P90MS = ms(sk.Quantile(0.90))
-		t.P99MS = ms(sk.Quantile(0.99))
+		// Quantiles leaves the sketch as it found it: by=cell reads run
+		// on live cells, whose later centroids must not depend on when
+		// they were read.
+		var p [len(servedQuantiles)]float64
+		sk.Quantiles(servedQuantiles[:], p[:])
+		t.P50MS, t.P90MS, t.P99MS = ms(p[0]), ms(p[1]), ms(p[2])
 		t.P99RankErr = sk.QuantileErrorBound(0.99)
 	case h != nil:
 		t.P50MS = ms(float64(h.Quantile(0.50)))
@@ -755,9 +761,10 @@ type StatsResponse struct {
 
 // StatsQuery derives the /stats view. The by=cell path computes each
 // cell's derived stats under the stripe lock rather than deep-cloning
-// every histogram (~17 KiB per cell) only to read three quantiles —
-// with the store near its cell cap that clone would be hundreds of MiB
-// of transient allocation per dashboard poll. Merging rollups go
+// every cell (~12 KiB each on fleet traffic) only to read three
+// quantiles — with the store near its cell cap that clone would be
+// hundreds of MiB of transient allocation per dashboard poll. The read
+// leaves the live cells unchanged (see trackStats). Merging rollups go
 // through Query, which already merges without cloning.
 func (st *Store) StatsQuery(r Rollup) ([]CellStats, error) {
 	if r == RollupCell {

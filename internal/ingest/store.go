@@ -366,6 +366,10 @@ type Store struct {
 type storeShard struct {
 	mu    sync.Mutex
 	cells map[Key]*Cell
+	// epoch is the last epoch stamped on a fold into this shard's cells
+	// (stamps are taken under mu, so it only grows): a stream scan for
+	// changes since a cursor at or past it skips the shard unwalked.
+	epoch int64
 }
 
 // DefaultStoreShards is sized for tens of fold workers over a
@@ -373,11 +377,15 @@ type storeShard struct {
 const DefaultStoreShards = 32
 
 // DefaultMaxCells bounds distinct aggregation cells. Each cell carries
-// two 1000-bucket histograms (~17 KiB) plus two quantile sketches
-// (bounded centroids + fold buffer, ~10 KiB each when hot), so the
-// default caps aggregate state near a GiB — without a cap, one hostile
-// batch of unique device names per POST would mint unreclaimable heap
-// until OOM.
+// two windowed histograms (a 512 B page per 32 ms of RTT range they
+// span: ~1 KiB each on fleet traffic, 8 KiB at most) plus two quantile
+// sketches (bounded centroids + fold buffer, ~10 KiB each when hot).
+// Measured on 2048 fleet-shaped cells, a cell holds ~12 KiB of live
+// heap (TestFleetCellFootprint); one whose RTTs span the whole range
+// with hot sketches holds ~35 KiB. The default therefore caps
+// aggregate state between ~400 MiB and ~1.1 GiB — without a cap, one
+// hostile batch of unique device names per POST would mint
+// unreclaimable heap until OOM.
 const DefaultMaxCells = 32768
 
 // NewStore builds a store. window <= 0 disables time bucketing (one
@@ -515,6 +523,7 @@ func (st *Store) Fold(s *Summary, corr time.Duration, src CorrectionSource) bool
 		}
 		c.fold(s, corr, src)
 		c.Epoch = st.epoch.Add(1)
+		sh.epoch = c.Epoch
 		sh.mu.Unlock()
 		return true
 	}
@@ -603,6 +612,7 @@ func (st *Store) FoldRun(k Key, h uint64, sums []Summary, corrs []time.Duration,
 			c.foldBatch(&sums[i], corrs[i], srcs[i], fs)
 		}
 		c.Epoch = st.epoch.Add(1)
+		sh.epoch = c.Epoch
 		sh.mu.Unlock()
 		return len(sums)
 	}
@@ -747,7 +757,7 @@ func (st *Store) Query(r Rollup) ([]*Cell, error) {
 // (replica) cells down to r's dimensions — the one merge behind Query
 // and QueryWith. Each live cell merges straight into its output row
 // under the stripe lock: Merge only reads its argument, so no per-cell
-// clone of the two 1000-bucket histograms is needed, keeping a /stats
+// clone of the histograms and sketches is needed, keeping a /stats
 // poll cheap even with the store near its cell cap.
 //
 // The merge fans out over min(GOMAXPROCS, stripes) workers partitioned

@@ -92,9 +92,11 @@ func (st *Store) deltasWith(since int64, r Rollup, src ReplicaSource) (StreamEve
 		for i := range st.shards {
 			sh := &st.shards[i]
 			sh.mu.Lock()
-			for _, c := range sh.cells {
-				if c.Epoch > since {
-					ev.Cells = append(ev.Cells, StatsFor(c))
+			if sh.epoch > since {
+				for _, c := range sh.cells {
+					if c.Epoch > since {
+						ev.Cells = append(ev.Cells, StatsFor(c))
+					}
 				}
 			}
 			sh.mu.Unlock()
@@ -124,8 +126,10 @@ func (st *Store) deltasWith(since int64, r Rollup, src ReplicaSource) (StreamEve
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
-		for _, c := range sh.cells {
-			collect(c)
+		if sh.epoch > since {
+			for _, c := range sh.cells {
+				collect(c)
+			}
 		}
 		sh.mu.Unlock()
 	}

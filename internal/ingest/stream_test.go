@@ -417,3 +417,85 @@ func TestChurnSteadyState(t *testing.T) {
 		}
 	}
 }
+
+// TestCellReadsDoNotChangeState pins that reading cells by=cell — the
+// /stats?by=cell view and the default /v1/stream view, both derived on
+// the live cells under their stripe locks — leaves the store exactly
+// as it would be unread: two stores fed the same fleet-shaped folds,
+// one of them read every 50 folds, must serialize byte-identically.
+func TestCellReadsDoNotChangeState(t *testing.T) {
+	sums := fleetShapedSummaries(4000)
+	reads := []struct {
+		name string
+		read func(st *Store, since int64) (int64, error)
+	}{
+		{"StatsQuery", func(st *Store, since int64) (int64, error) {
+			_, err := st.StatsQuery(RollupCell)
+			return since, err
+		}},
+		{"DeltasSince", func(st *Store, since int64) (int64, error) {
+			ev, err := st.DeltasSince(since, RollupCell)
+			return ev.Epoch, err
+		}},
+	}
+	for _, r := range reads {
+		name, read := r.name, r.read
+		t.Run(name, func(t *testing.T) {
+			quiet, polled := NewStore(-1, 0), NewStore(-1, 0)
+			var since int64
+			for i := range sums {
+				corr, src := time.Duration(i%7)*time.Millisecond, CorrectionSource(i%5)
+				if !quiet.Fold(&sums[i], corr, src) || !polled.Fold(&sums[i], corr, src) {
+					t.Fatal("fold dropped")
+				}
+				if i%50 == 49 {
+					var err error
+					if since, err = read(polled, since); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			want, err := json.Marshal(quiet.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(polled.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("%s reads changed the stored cells: snapshots differ (%d vs %d bytes)", name, len(got), len(want))
+			}
+		})
+	}
+}
+
+// TestDeltasSinceAfterFold pins the per-shard skip in the delta scan:
+// after a cursor, a fold into any one cell — whichever shard holds it —
+// is delivered, and nothing else is.
+func TestDeltasSinceAfterFold(t *testing.T) {
+	st := NewStore(-1, 0)
+	sums := fleetShapedSummaries(3000)
+	for i := range sums {
+		if !st.Fold(&sums[i], 0, SourceNone) {
+			t.Fatal("fold dropped")
+		}
+	}
+	for i := 0; i < 64; i++ {
+		since := st.Epoch()
+		s := sums[i*37%len(sums)]
+		if !st.Fold(&s, 0, SourceNone) {
+			t.Fatal("fold dropped")
+		}
+		ev, err := st.DeltasSince(since, RollupCell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ev.Cells) != 1 || ev.Cells[0].Key != st.KeyFor(&s) {
+			t.Fatalf("fold %d into %+v: delta holds %d cells, want exactly that one", i, st.KeyFor(&s), len(ev.Cells))
+		}
+		if ev, _ := st.DeltasSince(ev.Epoch, RollupCell); len(ev.Cells) != 0 {
+			t.Fatalf("fold %d: %d cells re-delivered past the returned cursor", i, len(ev.Cells))
+		}
+	}
+}
