@@ -67,9 +67,9 @@ var nsOpWatch = map[string]bool{
 }
 
 // allocsWatch lists the benchmarks whose allocs/op is gated: the
-// batched and serial store-fold paths (allocation-free by contract —
-// a pooled buffer escaping the pool shows up here before it shows up
-// in ns/op), the wire decoders, the sketch fold/merge underneath the
+// batched, serial and fleet-shaped store-fold paths (allocation-free
+// by contract — a pooled buffer escaping the pool shows up here
+// before it shows up in ns/op), the wire decoders, the sketch fold/merge underneath the
 // store, the gossip/compaction passes whose garbage scales with
 // cluster size and retention churn, and the merging /stats rollup,
 // whose garbage scales with the cells behind every dashboard poll.
@@ -78,6 +78,7 @@ var nsOpWatch = map[string]bool{
 var allocsWatch = map[string]bool{
 	"BenchmarkStoreFold":         true,
 	"BenchmarkStoreFoldSerial":   true,
+	"BenchmarkStoreFoldFleet":    true,
 	"BenchmarkDecodeBatch":       true,
 	"BenchmarkDecodeBinaryBatch": true,
 	"BenchmarkSketchFold":        true,

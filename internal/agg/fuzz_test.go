@@ -49,7 +49,9 @@ func fuzzSeedSketchBlobs(f *testing.F) [][]byte {
 //     Add — buffer contents, flush boundaries, centroids, everything —
 //     since the sharding-equivalence contract is built on it;
 //   - the folded and merged sketches must still pass Valid (the
-//     centroid cap holds under batched compression);
+//     centroid cap holds under batched compression), also when the
+//     merge receiver still buffers observations, whose buffer must
+//     stay below its limit;
 //   - the canonical binary form must round-trip byte-identically;
 //   - Hist.AddMulti and Moments.AddMulti over the same run must match
 //     their serial folds exactly.
@@ -91,6 +93,27 @@ func FuzzSketchBatchFold(f *testing.F) {
 		merged.Merge(&wire)
 		if err := merged.Valid(); err != nil {
 			t.Fatalf("merge of accepted sketch breaks validity: %v", err)
+		}
+
+		// Into a default-compression receiver that still buffers
+		// observations: the wire sketch's singletons join that buffer
+		// (a coarser wire compression also lowers the receiver's
+		// limit), which must stay below its limit with the count
+		// identity intact, on both merge entry points.
+		for _, shift := range []bool{false, true} {
+			recv := NewSketch(0)
+			recv.AddMulti(vs[:min(len(vs), recv.bufLimit()-1)])
+			if shift {
+				recv.MergeShifted(&wire, -1e6, 0)
+			} else {
+				recv.Merge(&wire)
+			}
+			if err := recv.Valid(); err != nil {
+				t.Fatalf("merge into a buffering receiver (shift=%v) breaks validity: %v", shift, err)
+			}
+			if n, limit := len(recv.buf), recv.bufLimit(); n >= limit {
+				t.Fatalf("merge into a buffering receiver (shift=%v) left %d buffered, limit %d", shift, n, limit)
+			}
 		}
 
 		enc := wire.AppendBinary(nil)

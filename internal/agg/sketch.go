@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -51,9 +52,13 @@ type Sketch struct {
 	buf []float64 // uncompressed recent observations
 }
 
-// Sketch sizing. The default compression keeps ≤ ~2·Compression
-// centroids (~6 KiB) per sketch and a p99/p01 rank error two orders of
-// magnitude below the histogram's saturated tail.
+// Sketch sizing. The default compression keeps ≤ ~Compression+2
+// centroids per sketch (≤ ~3.3 KiB; ~125 on fleet traffic) and a
+// p99/p01 rank error two orders of magnitude below the histogram's
+// saturated tail. Next to them sits the fold buffer, at most bufLimit
+// observations (1.6 KiB at the default), sized for memory per
+// resident cell rather than for the fewest compression passes; see
+// bufLimit.
 const (
 	DefaultSketchCompression = 200
 	MinSketchCompression     = 20
@@ -92,9 +97,18 @@ func (s *Sketch) normalize() {
 }
 
 // bufLimit is the buffered-observation count that triggers a
-// compression pass; compression cost amortizes over it.
+// compression pass; compression cost amortizes over it. A flushed
+// buffer keeps its capacity, so the limit is paid in memory on every
+// resident sketch, two per ingest cell, and traded against compression
+// passes per observation. At 4·Compression a fleet-shaped cell that
+// had seen ~300 summaries held 22.0 KB of live heap, 13.2 KB of it
+// buffer capacity; at Compression its buffers hold 3.5 KB and the
+// cell 12.7 KB (TestFleetCellFootprintSteady). The fourfold passes cost ~15% on a
+// bare Add stream (BenchmarkSketchFold); on fleet traffic they are
+// repaid because a merge no longer flushes the receiver (see Merge),
+// and a fleet-shaped fold got faster (BenchmarkStoreFoldFleet).
 func (s *Sketch) bufLimit() int {
-	n := int(4 * s.Compression)
+	n := int(s.Compression)
 	if n < 64 {
 		n = 64
 	}
@@ -111,10 +125,24 @@ func (s *Sketch) Add(v float64) {
 		s.MaxV = v
 	}
 	s.Count++
+	limit := s.bufLimit()
+	if len(s.buf) == cap(s.buf) {
+		s.growBuf(len(s.buf)+1, limit)
+	}
 	s.buf = append(s.buf, v)
-	if len(s.buf) >= s.bufLimit() {
+	if len(s.buf) >= limit {
 		s.Flush()
 	}
+}
+
+// growBuf reallocates the buffer to hold at least need observations,
+// doubling like append but not past limit, which a buffer only
+// reaches to flush: append's own rounding would leave every resident
+// sketch with 256 or more floats of capacity for a 200-float buffer.
+func (s *Sketch) growBuf(need, limit int) {
+	grown := make([]float64, len(s.buf), max(min(2*cap(s.buf), limit), need))
+	copy(grown, s.buf)
+	s.buf = grown
 }
 
 // AddDuration folds one duration in as float nanoseconds, the unit
@@ -152,6 +180,9 @@ func (s *Sketch) AddMulti(vs []float64) {
 			count++
 		}
 		s.Count, s.MinV, s.MaxV = count, minv, maxv
+		if len(s.buf)+n > cap(s.buf) {
+			s.growBuf(len(s.buf)+n, limit)
+		}
 		s.buf = append(s.buf, chunk...)
 		vs = vs[n:]
 		if len(s.buf) >= limit {
@@ -164,44 +195,42 @@ func (s *Sketch) AddMulti(vs []float64) {
 func (s *Sketch) N() int64 { return s.Count }
 
 // Flush compresses any buffered observations into the centroid list.
-// Idempotent; called automatically by Quantile, Merge, and JSON
-// marshalling. The sort keys and merge workspace come from the pooled
-// flushScratch and the centroid list itself is reused across flushes,
-// so a steady-state flush allocates nothing — this is the allocation
-// the ingest fold path used to pay once per bufLimit observations.
+// Idempotent; called automatically by Quantile and JSON marshalling
+// (Merge leaves the receiver's buffer alone). The sort keys and merge
+// workspace come from the pooled flushScratch and the centroid list
+// itself is reused across flushes, so a steady-state flush allocates
+// nothing — this is the allocation the ingest fold path used to pay
+// once per bufLimit observations.
 func (s *Sketch) Flush() {
 	s.normalize()
 	if len(s.buf) == 0 {
 		return
 	}
 	fs := flushScratchPool.Get().(*flushScratch)
-	fs.sortObservations(s.buf)
-	fs.merged = mergeObservations(fs.merged[:0], s.Centroids, s.buf)
-	s.buf = s.buf[:0]
-	s.Centroids = compressInto(s.Centroids[:0], fs.merged, s.Count, s.Compression)
+	s.flush(fs)
 	flushScratchPool.Put(fs)
 }
 
-// mergeObservations linearly merges a mean-sorted centroid list with a
-// sorted observation buffer (each value a weight-1 centroid) into dst;
-// existing centroids win ties, matching a two-list centroid merge.
-func mergeObservations(dst, cs []Centroid, obs []float64) []Centroid {
-	i, j := 0, 0
-	for i < len(cs) || j < len(obs) {
-		if j >= len(obs) || (i < len(cs) && cs[i].Mean <= obs[j]) {
-			dst = append(dst, cs[i])
-			i++
-		} else {
-			dst = append(dst, Centroid{Mean: obs[j], Weight: 1})
-			j++
-		}
+// flush is Flush over a caller-held scratch, for a non-empty buffer.
+// It touches only fs.merged and the sort keys, so a caller may hold
+// other scratch fields across it. The pass reads s.Centroids, so it
+// compresses into fs.merged and copies the result back.
+func (s *Sketch) flush(fs *flushScratch) {
+	fs.sortObservations(s.buf)
+	fs.merged = compressInto(fs.merged[:0], s.Centroids, s.buf, s.Count, s.Compression)
+	s.buf = s.buf[:0]
+	if n := len(fs.merged); n > cap(s.Centroids) {
+		// A power of two, as appending one centroid at a time would
+		// give: a tight fit would regrow at the next flush's slightly
+		// longer list, and keep ~2× the centroid bytes on every cell.
+		s.Centroids = make([]Centroid, 0, 1<<bits.Len(uint(n-1)))
 	}
-	return dst
+	s.Centroids = append(s.Centroids[:0], fs.merged...)
 }
 
 // mergeSortedCentroids linearly merges two mean-sorted centroid lists
-// into dst — both Flush and Merge combine lists that are sorted by
-// construction, so no comparison sort is needed.
+// into dst — Merge combines lists that are sorted by construction, so
+// no comparison sort is needed.
 func mergeSortedCentroids(dst, a, b []Centroid) []Centroid {
 	i, j := 0, 0
 	for i < len(a) || j < len(b) {
@@ -240,27 +269,41 @@ func qLimitAfter(q0, sinD, cosD float64) float64 {
 	return (x*cosD + math.Sqrt(1-x*x)*sinD + 1) / 2
 }
 
-// compressInto runs the deterministic single-pass merge over a
-// mean-sorted centroid list, appending the result to dst: adjacent
-// centroids coalesce while the combined centroid still spans at most
-// one k-unit of the scale function (checked against the precomputed
-// inverse-scale quantile limit, which is kScale(qRight)−kLeft ≤ 1
-// rearranged through the monotone inverse). dst may be the zero-length
-// head of the slice that previously held the sketch's centroids —
-// sorted lives in separate scratch space by then, so the append never
-// clobbers an unread input.
-func compressInto(dst, sorted []Centroid, total int64, compression float64) []Centroid {
-	if len(sorted) == 0 {
+// compressInto runs the deterministic single-pass merge over the
+// mean-ordered union of a sorted centroid list cs and a sorted
+// observation buffer obs (each value a weight-1 centroid; centroids
+// win ties), appending the result to dst: adjacent centroids coalesce
+// while the combined centroid still spans at most one k-unit of the
+// scale function (checked against the precomputed inverse-scale
+// quantile limit, which is kScale(qRight)−kLeft ≤ 1 rearranged through
+// the monotone inverse). Walking the two inputs in place, rather than
+// materializing their merge first, saves a write and a read of every
+// centroid on the flush path. dst may be the zero-length head of a
+// slice holding neither input.
+func compressInto(dst, cs []Centroid, obs []float64, total int64, compression float64) []Centroid {
+	if len(cs)+len(obs) == 0 {
 		return nil
 	}
-	cur := sorted[0]
+	i, j := 0, 0
+	next := func() (c Centroid) {
+		if j >= len(obs) || (i < len(cs) && cs[i].Mean <= obs[j]) {
+			c = cs[i]
+			i++
+		} else {
+			c = Centroid{Mean: obs[j], Weight: 1}
+			j++
+		}
+		return c
+	}
+	cur := next()
 	var wSoFar int64
 	tf := float64(total)
 	sinD, cosD := math.Sincos(2 * math.Pi / compression)
 	// The limit is carried in weight space (qLimit·total), so the
 	// per-input check is a convert-and-compare with no division.
 	wLimit := qLimitAfter(0, sinD, cosD) * tf
-	for _, c := range sorted[1:] {
+	for i < len(cs) || j < len(obs) {
+		c := next()
 		proposed := cur.Weight + c.Weight
 		if float64(wSoFar+proposed) <= wLimit {
 			cur.Mean += (c.Mean - cur.Mean) * float64(c.Weight) / float64(proposed)
@@ -281,6 +324,14 @@ func compressInto(dst, sorted []Centroid, total int64, compression float64) []Ce
 // lower-compression input cannot be recovered by re-labelling, so
 // keeping the finer value would make QuantileErrorBound silently
 // understate the true error of the merged data.
+//
+// Merge never flushes the receiver's buffer. Each weight-1 centroid of
+// o (as o would hold after a Flush) is one observation, so it joins the
+// receiver's buffer exactly as Add would append it, flushing at the
+// same limit; only o's weighted centroids go through a centroid merge
+// and compression pass. A device-posted sketch of a few dozen
+// observations is all singletons, so folding it costs a buffer append
+// rather than two early flushes of the cell's sketches.
 func (s *Sketch) Merge(o *Sketch) { s.merge(o, false, 0, 0) }
 
 // MergeShifted folds o in as if delta had been added to every one of
@@ -309,6 +360,7 @@ func (s *Sketch) merge(o *Sketch, shift bool, delta, floor float64) {
 	if oc := clampCompression(o.Compression); oc < s.Compression {
 		s.Compression = oc
 	}
+	limit := s.bufLimit()
 	omin, omax := o.MinV, o.MaxV
 	if shift {
 		omin, omax = shiftClamp(omin, delta, floor), shiftClamp(omax, delta, floor)
@@ -319,24 +371,56 @@ func (s *Sketch) merge(o *Sketch, shift bool, delta, floor float64) {
 	if s.Count == 0 || omax > s.MaxV {
 		s.MaxV = omax
 	}
-	// Both centroid lists are sorted by construction (a shift with a
-	// floor clamp is monotone, so it keeps them sorted), so the combine
-	// is a linear merge.
-	s.Flush()
 	fs := flushScratchPool.Get().(*flushScratch)
-	oc := o.flushedInto(fs)
-	if shift {
-		if len(o.buf) == 0 {
-			fs.flat = append(fs.flat[:0], oc...)
-			oc = fs.flat
-		}
-		for i := range oc {
-			oc[i].Mean = shiftClamp(oc[i].Mean, delta, floor)
-		}
+	if len(s.buf) >= limit { // adopting a coarser compression lowered the limit
+		s.flush(fs)
 	}
-	s.Count += o.Count
-	fs.merged = mergeSortedCentroids(fs.merged[:0], s.Centroids, oc)
-	s.Centroids = compressInto(s.Centroids[:0], fs.merged, s.Count, s.Compression)
+	// Singletons join the buffer one by one, so Count always equals
+	// the centroid mass plus the buffer length; weighted centroids
+	// (still sorted: a shift with a floor clamp is monotone) take one
+	// linear merge with the receiver's centroids. An unshifted o
+	// without singletons — any long-lived sketch — is merged as it
+	// stands; otherwise its weighted centroids are copied out first.
+	// flush leaves fs.weighted and fs.flat, which flushedInto may
+	// return, alone.
+	oc := o.flushedInto(fs)
+	var mass int64 // of oc's weighted centroids, once singletons leave
+	split := shift
+	for _, c := range oc {
+		mass += c.Weight
+		split = split || c.Weight == 1
+	}
+	weighted := oc
+	if split {
+		weighted = fs.weighted[:0]
+		for _, c := range oc {
+			if shift {
+				c.Mean = shiftClamp(c.Mean, delta, floor)
+			}
+			if c.Weight != 1 {
+				weighted = append(weighted, c)
+				continue
+			}
+			mass--
+			s.Count++
+			if len(s.buf) == cap(s.buf) {
+				// Straight to the limit: growing a fresh rollup row's
+				// buffer one singleton at a time would reallocate it
+				// at every doubling.
+				s.growBuf(limit, limit)
+			}
+			s.buf = append(s.buf, c.Mean)
+			if len(s.buf) >= limit {
+				s.flush(fs)
+			}
+		}
+		fs.weighted = weighted
+	}
+	if len(weighted) > 0 {
+		s.Count += mass
+		fs.merged = mergeSortedCentroids(fs.merged[:0], s.Centroids, weighted)
+		s.Centroids = compressInto(s.Centroids[:0], fs.merged, nil, s.Count-int64(len(s.buf)), s.Compression)
+	}
 	flushScratchPool.Put(fs)
 }
 
@@ -351,8 +435,7 @@ func (s *Sketch) flushedInto(fs *flushScratch) []Centroid {
 	}
 	fs.obs = append(fs.obs[:0], s.buf...)
 	fs.sortObservations(fs.obs)
-	fs.merged = mergeObservations(fs.merged[:0], s.Centroids, fs.obs)
-	fs.flat = compressInto(fs.flat[:0], fs.merged, s.Count, clampCompression(s.Compression))
+	fs.flat = compressInto(fs.flat[:0], s.Centroids, fs.obs, s.Count, clampCompression(s.Compression))
 	return fs.flat
 }
 

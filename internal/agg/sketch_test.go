@@ -564,3 +564,137 @@ func TestSketchValidWeightOverflow(t *testing.T) {
 		t.Fatal("weight above count passed validation")
 	}
 }
+
+// TestSketchMergeBuffersSingletons pins the merge rule: an argument's
+// weight-1 centroids are observations and join the receiver's buffer
+// the way Add would, so merging all-singleton arguments into a
+// receiver that buffers observations leaves its centroids untouched
+// until the buffer reaches bufLimit, and grows the buffer by each
+// argument's count. Merge and MergeShifted apply the rule alike.
+func TestSketchMergeBuffersSingletons(t *testing.T) {
+	for _, shifted := range []bool{false, true} {
+		dst := NewSketch(0)
+		for i := 0; i < dst.bufLimit()+7; i++ {
+			dst.Add(float64(i%97) * 1e5)
+		}
+		if len(dst.Centroids) == 0 || len(dst.buf) != 7 {
+			t.Fatalf("setup: %d centroids, %d buffered", len(dst.Centroids), len(dst.buf))
+		}
+		src := NewSketch(0)
+		for i := 0; i < 20; i++ {
+			src.Add(3e6 + float64(i)*1e4)
+		}
+		src.Flush()
+		for _, c := range src.Centroids {
+			if c.Weight != 1 {
+				t.Fatalf("setup: argument centroid %+v is not a singleton", c)
+			}
+		}
+		centroids := append([]Centroid(nil), dst.Centroids...)
+		for len(dst.buf)+int(src.Count) < dst.bufLimit() {
+			buffered, count := len(dst.buf), dst.Count
+			if shifted {
+				dst.MergeShifted(src, -2e6, 0)
+			} else {
+				dst.Merge(src)
+			}
+			if len(dst.buf) != buffered+int(src.Count) || dst.Count != count+src.Count {
+				t.Fatalf("shifted=%v: buffer %d → %d, count %d → %d after merging %d singletons",
+					shifted, buffered, len(dst.buf), count, dst.Count, src.Count)
+			}
+			if len(dst.Centroids) != len(centroids) {
+				t.Fatalf("shifted=%v: merge below the buffer limit compressed the receiver", shifted)
+			}
+			for i := range centroids {
+				if dst.Centroids[i] != centroids[i] {
+					t.Fatalf("shifted=%v: merge below the buffer limit changed centroid %d", shifted, i)
+				}
+			}
+			if err := dst.Valid(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dst.Merge(src) // crosses the limit: exactly one flush
+		if n := len(dst.buf); n >= dst.bufLimit() {
+			t.Fatalf("shifted=%v: buffer holds %d ≥ limit %d", shifted, n, dst.bufLimit())
+		}
+		if err := dst.Valid(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSketchBufferStaysBelowLimit: across random sequences of Add,
+// AddMulti, Merge and MergeShifted — mixed compressions, buffered and
+// flushed arguments — the buffer is below bufLimit after every call
+// and Valid's count identity (centroid mass + buffer = Count) holds.
+func TestSketchBufferStaysBelowLimit(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	comps := []float64{MinSketchCompression, 50, 100, DefaultSketchCompression, 500, MaxSketchCompression}
+	arg := func() *Sketch {
+		o := NewSketch(comps[rng.Intn(len(comps))])
+		for i, n := 0, 1+rng.Intn(1500); i < n; i++ {
+			o.Add(rng.ExpFloat64() * 30e6)
+		}
+		if rng.Intn(2) == 0 {
+			o.Flush()
+		}
+		return o
+	}
+	for trial := 0; trial < 50; trial++ {
+		s := NewSketch(comps[rng.Intn(len(comps))])
+		for step := 0; step < 60; step++ {
+			var op string
+			switch rng.Intn(4) {
+			case 0:
+				op = "Add"
+				s.Add(rng.ExpFloat64() * 40e6)
+			case 1:
+				op = "AddMulti"
+				vs := make([]float64, rng.Intn(700))
+				for i := range vs {
+					vs[i] = rng.ExpFloat64() * 40e6
+				}
+				s.AddMulti(vs)
+			case 2:
+				op = "Merge"
+				s.Merge(arg())
+			default:
+				op = "MergeShifted"
+				s.MergeShifted(arg(), -rng.Float64()*60e6, 0)
+			}
+			if n, limit := len(s.buf), s.bufLimit(); n >= limit {
+				t.Fatalf("trial %d step %d: %s left %d buffered, limit %d", trial, step, op, n, limit)
+			}
+			if err := s.Valid(); err != nil {
+				t.Fatalf("trial %d step %d: %s: %v", trial, step, op, err)
+			}
+		}
+	}
+}
+
+// TestSketchSelfMerge: merging a sketch into itself, buffered or
+// flushed, equals merging an independent copy — the singletons the
+// merge appends to the receiver's buffer are not read back as input.
+func TestSketchSelfMerge(t *testing.T) {
+	for _, n := range []int{5, 150, 1000, 5000} {
+		for _, flushed := range []bool{false, true} {
+			s := NewSketch(0)
+			for i := 0; i < n; i++ {
+				s.Add(float64(i % 97))
+			}
+			if flushed {
+				s.Flush()
+			}
+			want := s.Clone()
+			want.Merge(s.Clone())
+			s.Merge(s)
+			if !bytes.Equal(sketchState(s), sketchState(want)) {
+				t.Fatalf("n=%d flushed=%v: self-merge differs from merging a copy", n, flushed)
+			}
+			if err := s.Valid(); err != nil {
+				t.Fatalf("n=%d flushed=%v: %v", n, flushed, err)
+			}
+		}
+	}
+}

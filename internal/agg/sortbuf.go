@@ -17,9 +17,12 @@ type flushScratch struct {
 	merged    []Centroid
 	keys, tmp []uint64
 	// obs and flat hold a merge argument's sorted buffer copy and its
-	// compressed centroids, so Sketch.Merge never clones its argument.
-	obs  []float64
-	flat []Centroid
+	// compressed centroids, so Sketch.Merge never clones its argument;
+	// weighted holds the argument's centroids heavier than one
+	// observation, the only ones a merge compresses.
+	obs      []float64
+	flat     []Centroid
+	weighted []Centroid
 }
 
 var flushScratchPool = sync.Pool{New: func() any { return new(flushScratch) }}

@@ -410,21 +410,35 @@ func BenchmarkCompaction(b *testing.B) {
 // fleet-tcp benchmark workload's: keys drawn uniformly over 2048 cells
 // (256 models × 8 cohorts), and the workload's RTT mix — 10% single
 // RTT, 75% 20 RTTs, 5% 200 RTTs, 10% device-built sketches of 20.
-func fleetShapedSummaries(n int) []Summary {
+func fleetShapedSummaries(n int) []Summary { return newFleetShapedGen().next(n) }
+
+// fleetShapedGen draws the fleetShapedSummaries stream in chunks, so a
+// caller can fold far more summaries than it holds at once: next(a)
+// then next(b) returns what fleetShapedSummaries(a+b) would.
+type fleetShapedGen struct {
+	rng             *rand.Rand
+	devices, groups []string
+}
+
+func newFleetShapedGen() *fleetShapedGen {
 	const models, cohorts = 256, 8
-	rng := rand.New(rand.NewSource(2))
-	devices := make([]string, models)
-	for m := range devices {
-		devices[m] = fmt.Sprintf("model-%03d", m)
+	g := &fleetShapedGen{rng: rand.New(rand.NewSource(2)),
+		devices: make([]string, models), groups: make([]string, cohorts)}
+	for m := range g.devices {
+		g.devices[m] = fmt.Sprintf("model-%03d", m)
 	}
-	groups := make([]string, cohorts)
-	for c := range groups {
-		groups[c] = fmt.Sprintf("cohort-%02d", c)
+	for c := range g.groups {
+		g.groups[c] = fmt.Sprintf("cohort-%02d", c)
 	}
+	return g
+}
+
+func (g *fleetShapedGen) next(n int) []Summary {
+	rng, cohorts := g.rng, len(g.groups)
 	out := make([]Summary, n)
 	for i := range out {
-		ki := rng.Intn(models * cohorts)
-		s := Summary{Device: devices[ki/cohorts], Group: groups[ki%cohorts], Scenario: "fleet-tcp", TimeMS: 1}
+		ki := rng.Intn(len(g.devices) * cohorts)
+		s := Summary{Device: g.devices[ki/cohorts], Group: g.groups[ki%cohorts], Scenario: "fleet-tcp", TimeMS: 1}
 		draw := func() int64 { return 15_000_000 + int64(ki%37)*1_000_000 + int64(rng.ExpFloat64()*4e6) }
 		switch u := rng.Float64(); {
 		case u < 0.90:
@@ -449,6 +463,49 @@ func fleetShapedSummaries(n int) []Summary {
 		out[i] = s
 	}
 	return out
+}
+
+// BenchmarkStoreFoldFleet prices the fold path on fleet-shaped
+// traffic, which BenchmarkStoreFold's five hot cells never show:
+// 100-summary batches grouped into same-cell runs (~1 summary long)
+// over 2048 resident cells, 10% of them device-built sketches merged
+// into both cell sketches. The store is filled before timing; ns/op is
+// per summary, and steady state must be allocation-free.
+func BenchmarkStoreFoldFleet(b *testing.B) {
+	b.ReportAllocs()
+	const batchSize = 100
+	st := NewStore(0, 0)
+	p := NewPuncturer(nil, 0)
+	sums := fleetShapedSummaries(50_000)
+	var batches [][]benchRun
+	for i := 0; i+batchSize <= len(sums); i += batchSize {
+		batches = append(batches, groupBenchRuns(st, sums[i:i+batchSize]))
+	}
+	cc := newCellCache()
+	var fs foldScratch
+	var atts []puncture.Attribution
+	corrs := make([]time.Duration, batchSize)
+	srcs := make([]CorrectionSource, batchSize)
+	foldBatch := func(runs []benchRun) {
+		for _, r := range runs {
+			atts = p.CorrectionRun(r.sums, corrs[:len(r.sums)], srcs[:len(r.sums)], atts)
+			if st.FoldRun(r.key, r.hash, r.sums, corrs[:len(r.sums)], srcs[:len(r.sums)], cc, &fs) == 0 {
+				b.Fatal("run dropped")
+			}
+		}
+	}
+	for _, runs := range batches {
+		foldBatch(runs)
+	}
+	if st.Cells() != 2048 {
+		b.Fatalf("%d cells, want 2048", st.Cells())
+	}
+	start := time.Now()
+	b.ResetTimer()
+	for i, k := 0, 0; i < b.N; i, k = i+batchSize, k+1 {
+		foldBatch(batches[k%len(batches)])
+	}
+	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "summaries/sec")
 }
 
 // BenchmarkStatsQueryDevice prices one /stats?by=device poll on a

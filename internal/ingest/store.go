@@ -379,11 +379,14 @@ const DefaultStoreShards = 32
 // DefaultMaxCells bounds distinct aggregation cells. Each cell carries
 // two windowed histograms (a 512 B page per 32 ms of RTT range they
 // span: ~1 KiB each on fleet traffic, 8 KiB at most) plus two quantile
-// sketches (bounded centroids + fold buffer, ~10 KiB each when hot).
-// Measured on 2048 fleet-shaped cells, a cell holds ~12 KiB of live
-// heap (TestFleetCellFootprint); one whose RTTs span the whole range
-// with hot sketches holds ~35 KiB. The default therefore caps
-// aggregate state between ~400 MiB and ~1.1 GiB — without a cap, one
+// sketches (≤ ~Compression+2 centroids, ≤ 4 KiB, and a fold buffer of
+// at most Compression floats, 1.75 KiB: ~5.5 KiB each when hot).
+// Measured on 2048 fleet-shaped cells, a cell holds ~10 KiB of live
+// heap after its first ~15 summaries and ~12.5 KiB at steady state,
+// ~300 summaries in (TestFleetCellFootprint,
+// TestFleetCellFootprintSteady); one whose RTTs span the whole range
+// with hot sketches holds ~26 KiB. The default therefore caps
+// aggregate state between ~400 MiB and ~850 MiB — without a cap, one
 // hostile batch of unique device names per POST would mint
 // unreclaimable heap until OOM.
 const DefaultMaxCells = 32768

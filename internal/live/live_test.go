@@ -18,10 +18,21 @@ func startTestServers(t *testing.T) *Servers {
 
 func TestTCPConnectProbes(t *testing.T) {
 	s := startTestServers(t)
+	probes := 0
 	res, err := Measure(context.Background(), Config{
 		Target: s.Addr(), Probe: ProbeTCPConnect, K: 8,
 		WarmupDelay: 5 * time.Millisecond, BackgroundInterval: 5 * time.Millisecond,
 		WarmupAddr: s.Addr(),
+		// Past the warm-up datagram, the background count depends on
+		// the ticker firing before the probes finish, which a loaded
+		// host can delay past all eight. Holding the first probe until
+		// the echo server has seen a ticked datagram pins it: stop
+		// waits for the thread, so that datagram is counted.
+		OnProbe: func(ProbeRecord) {
+			if probes++; probes == 1 {
+				waitUDPEchoes(s, 2)
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -39,6 +50,18 @@ func TestTCPConnectProbes(t *testing.T) {
 	}
 	if conns := settledConns(s, 8); conns != 8 {
 		t.Fatalf("server saw %d connections", conns)
+	}
+}
+
+// waitUDPEchoes waits up to 2 s for the servers' UDP datagram count to
+// reach want.
+func waitUDPEchoes(s *Servers, want int) {
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		if _, udp, _ := s.Stats(); udp >= want || time.Now().After(deadline) {
+			return
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
